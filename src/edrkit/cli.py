@@ -154,8 +154,10 @@ def _cmd_diadem(args, out) -> int:
         ring, IntegerRing
     ):
         # spot-certify the quotient criterion when the quotient is small
-        if abs(witness.diadem.payload) <= args.bound:
-            assert is_diadem_via_quotient(ring, a, b, witness.multiplier)
+        if abs(witness.diadem.payload) <= args.bound and not is_diadem_via_quotient(
+            ring, a, b, witness.multiplier
+        ):
+            raise AssertionError("diadem failed its quotient spot-certification")
     out.write(HEADER + "\n")
     out.write(
         "multiplier=%s diadem=%s evidence=%s\n"

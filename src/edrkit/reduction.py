@@ -4,9 +4,10 @@ The 2x2 comaximal core follows a fixed five-step sequence: replace the
 lower-left entry by a diadem with unipotent shears, send the bottom row to
 (0, g) with a column Hermite step, use the divisor-of-a-diadem completion
 to make the first column comaximal, bring a 1 into the corner with a row
-Hermite step, and clear.  The general pivot loop layered on top is plain
-gcd elimination; divisibility chains are repaired by delegating diagonal
-pairs back to the comaximal core.
+Hermite step, and clear.  The full Smith form first runs a Kannan-Bachem
+column Hermite pass that keeps every entry bounded by the input's minors,
+then finishes with plain gcd elimination; divisibility chains are repaired
+by delegating diagonal pairs back to the comaximal core.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .rings import (
     Ring,
     RingElement,
     UnsupportedRingError,
+    _poly_divmod,
     bezout_gcd,
     quotient_ring,
 )
@@ -50,8 +52,11 @@ def _require_bezout_domain(ring: Ring) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _hermite_col_blocks(ring: Ring, x, y):
-    """(T, g) with (x y) * T = (g, 0); T is a payload 2x2 with unit determinant."""
+def _hermite_blocks(ring: Ring, x, y):
+    """(T, g) with (x y) * T = (g, 0); T is a payload 2x2 with unit determinant.
+
+    The row step is the transpose: T^t * (x y)^t = (g, 0)^t.
+    """
     if x == ring._zero() and y == ring._zero():
         one, zero = ring._one(), ring._zero()
         return ((one, zero), (zero, one)), zero
@@ -61,15 +66,9 @@ def _hermite_col_blocks(ring: Ring, x, y):
     return ((u, ring._neg(b1)), (v, a1)), cert.g.payload
 
 
-def _hermite_row_blocks(ring: Ring, x, y):
-    """(T, g) with T * (x y)^T = (g, 0)^T; T is a payload 2x2 with unit determinant."""
-    if x == ring._zero() and y == ring._zero():
-        one, zero = ring._one(), ring._zero()
-        return ((one, zero), (zero, one)), zero
-    cert = bezout_gcd(ring, RingElement(ring, x), RingElement(ring, y))
-    u, v = cert.u.payload, cert.v.payload
-    a1, b1 = cert.a1.payload, cert.b1.payload
-    return ((u, v), (ring._neg(b1), a1)), cert.g.payload
+def _transposed(t):
+    (t00, t01), (t10, t11) = t
+    return ((t00, t10), (t01, t11))
 
 
 def hermite_reduce_1x2(
@@ -82,7 +81,7 @@ def hermite_reduce_1x2(
     _require_bezout_domain(ring)
     ring._check(a)
     ring._check(b)
-    blocks, g = _hermite_col_blocks(ring, a.payload, b.payload)
+    blocks, g = _hermite_blocks(ring, a.payload, b.payload)
     q = from_payload_grid(ring, [list(blocks[0]), list(blocks[1])])
     return q, RingElement(ring, g)
 
@@ -94,7 +93,8 @@ def hermite_reduce_2x1(
     _require_bezout_domain(ring)
     ring._check(a)
     ring._check(b)
-    blocks, g = _hermite_row_blocks(ring, a.payload, b.payload)
+    blocks, g = _hermite_blocks(ring, a.payload, b.payload)
+    blocks = _transposed(blocks)
     p = from_payload_grid(ring, [list(blocks[0]), list(blocks[1])])
     return p, RingElement(ring, g)
 
@@ -141,6 +141,16 @@ class _Tracked:
                 x, y = row[i], row[j]
                 row[i] = ring._add(ring._mul(x, t00), ring._mul(y, t10))
                 row[j] = ring._add(ring._mul(x, t01), ring._mul(y, t11))
+
+    def add_col(self, i: int, j: int, f) -> None:
+        """col_i += f * col_j."""
+        ring = self.ring
+        zero = ring._zero()
+        for grid in (self.a, self.q):
+            for row in grid:
+                v = row[j]
+                if v != zero:
+                    row[i] = ring._add(row[i], ring._mul(f, v))
 
     def swap_rows(self, i: int, j: int) -> None:
         if i != j:
@@ -258,7 +268,7 @@ def reduce_2x2_comaximal(ring: Ring, source: Matrix) -> ReductionCertificate:
     elif a == zero:
         # Row (b, c) is itself comaximal: one Hermite step leaves the unit
         # corner directly.
-        t, g = _hermite_col_blocks(ring, b, c)
+        t, g = _hermite_blocks(ring, b, c)
         work.col_block(0, 1, t)
         work.swap_rows(0, 1)
     else:
@@ -269,12 +279,12 @@ def reduce_2x2_comaximal(ring: Ring, source: Matrix) -> ReductionCertificate:
         work.col_block(0, 1, ((one, zero), (y.payload, one)))
         # bottom row (w, c) -> (0, alpha): column-swapped Hermite block with
         # the first column negated to keep the determinant at 1
-        t, alpha = _hermite_col_blocks(ring, w.payload, c)
+        t, alpha = _hermite_blocks(ring, w.payload, c)
         ((t00, t01), (t10, t11)) = t
         work.col_block(0, 1, ((ring._neg(t01), t00), (ring._neg(t11), t10)))
         a_top, c_top = work.a[0][0], work.a[0][1]
         # divisor-of-a-diadem completion: alpha divides w, so a multiplier m
-        # с gcd(w, c1 + d1*m) unit also makes (c_top + a_top*m, alpha) comaximal
+        # with gcd(w, c1 + d1*m) unit also makes (c_top + a_top*m, alpha) comaximal
         k_cert = bezout_gcd(
             ring, RingElement(ring, c_top), RingElement(ring, a_top)
         )
@@ -282,8 +292,8 @@ def reduce_2x2_comaximal(ring: Ring, source: Matrix) -> ReductionCertificate:
             ring, w.payload, k_cert.a1.payload, k_cert.b1.payload
         )
         work.col_block(0, 1, ((m, one), (one, zero)))
-        t, g = _hermite_row_blocks(ring, work.a[0][0], work.a[1][0])
-        work.row_block(0, 1, t)
+        t, g = _hermite_blocks(ring, work.a[0][0], work.a[1][0])
+        work.row_block(0, 1, _transposed(t))
     # corner is now the unit g (exactly 1 after normalization); clear the rest
     corner = work.a[0][0]
     if corner != one:
@@ -302,8 +312,82 @@ def reduce_2x2_comaximal(ring: Ring, source: Matrix) -> ReductionCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _move_pivot(work: _Tracked, k: int) -> bool:
-    """Swap the canonically smallest nonzero trailing entry into (k, k)."""
+def _floor_quotient(ring: Ring, x, d):
+    """q with x - q*d reduced modulo the nonzero d (|.| < |d|, or lower degree)."""
+    if isinstance(ring, IntegerRing):
+        return x // d
+    return _poly_divmod(x, d, ring.p)[0]
+
+
+def _size_reduce(work: _Tracked, start: int, k: int) -> None:
+    """Reduce rows start..k-1 of the lower-triangular leading k x k minor.
+
+    Each entry left of the diagonal is taken modulo its row's diagonal
+    entry by a column shear.  Column r is zero above row r, so the shear
+    only touches rows r and below of the reduced column; going top-down
+    leaves every finished row reduced.
+    """
+    ring = work.ring
+    zero = ring._zero()
+    a = work.a
+    for r in range(start, k):
+        d = a[r][r]
+        for c in range(r):
+            x = a[r][c]
+            if x == zero:
+                continue
+            f = _floor_quotient(ring, x, d)
+            if f != zero:
+                work.add_col(c, r, ring._neg(f))
+
+
+def _column_hermite(work: _Tracked) -> int:
+    """Kannan-Bachem pass: a size-reduced column Hermite form, minor by minor.
+
+    Each new column is cleared above the diagonal against the pivots found
+    so far (a shear when the pivot divides, else a Hermite block), then the
+    leading minor is size-reduced, so no entry outgrows the minors of the
+    input (Kannan & Bachem, SIAM J. Comput. 8(4), 1979).  A column left
+    with no nonzero entry at or below the diagonal is zero; it is swapped
+    to the end and the next column tried, and a later nonzero row is
+    swapped up when the diagonal entry alone vanished.  Returns the rank r:
+    afterwards rows 0..r-1 of columns 0..r-1 are lower triangular with a
+    nonzero diagonal, and columns r.. are zero.
+    """
+    ring = work.ring
+    zero = ring._zero()
+    a = work.a
+    rank, end = 0, work.n
+    while rank < end:
+        i = rank
+        start = i
+        for j in range(i):
+            x = a[j][i]
+            if x == zero:
+                continue
+            q = ring._divides(a[j][j], x)
+            if q is not None:
+                work.add_col(i, j, ring._neg(q))
+            else:
+                t, _ = _hermite_blocks(ring, a[j][j], x)
+                work.col_block(j, i, t)
+                start = min(start, j)
+        row = next((r for r in range(i, work.m) if a[r][i] != zero), None)
+        if row is None:
+            end -= 1
+            work.swap_cols(i, end)
+            continue
+        work.swap_rows(i, row)
+        rank += 1
+        _size_reduce(work, start, rank)
+    return rank
+
+
+def _move_pivot(work: _Tracked, k: int) -> None:
+    """Swap the canonically smallest nonzero trailing entry into (k, k).
+
+    One exists while k is below the rank.
+    """
     ring = work.ring
     zero = ring._zero()
     best = None
@@ -316,11 +400,8 @@ def _move_pivot(work: _Tracked, k: int) -> bool:
             key = ring._sort_key(v)
             if best_key is None or key < best_key:
                 best, best_key = (i, j), key
-    if best is None:
-        return False
     work.swap_rows(k, best[0])
     work.swap_cols(k, best[1])
-    return True
 
 
 def _clear_cross(work: _Tracked, k: int) -> None:
@@ -341,18 +422,17 @@ def _clear_cross(work: _Tracked, k: int) -> None:
             if q is not None:
                 work.add_row(i, k, ring._neg(q))
             else:
-                t, _ = _hermite_row_blocks(ring, work.a[k][k], work.a[i][k])
-                work.row_block(k, i, t)
+                t, _ = _hermite_blocks(ring, work.a[k][k], work.a[i][k])
+                work.row_block(k, i, _transposed(t))
         for j in range(k + 1, work.n):
             target = work.a[k][j]
             if target == zero:
                 continue
             q = ring._divides(work.a[k][k], target)
             if q is not None:
-                nq = ring._neg(q)
-                work.col_block(k, j, ((ring._one(), nq), (zero, ring._one())))
+                work.add_col(j, k, ring._neg(q))
             else:
-                t, _ = _hermite_col_blocks(ring, work.a[k][k], work.a[k][j])
+                t, _ = _hermite_blocks(ring, work.a[k][k], work.a[k][j])
                 work.col_block(k, j, t)
         if all(work.a[i][k] == zero for i in range(k + 1, work.m)) and all(
             work.a[k][j] == zero for j in range(k + 1, work.n)
@@ -383,9 +463,11 @@ def _merge_diagonal_pair(work: _Tracked, i: int, j: int) -> None:
 def smith_normal_form(ring: Ring, source: Matrix) -> ReductionCertificate:
     """Full diagonal reduction with the divisibility chain d_1 | d_2 | ...
 
-    Pivot loop: bring the smallest trailing entry to the corner and clear
-    its row and column with Hermite steps (clearing may refill the cross,
-    but each refill strictly shrinks the pivot, so it terminates).  Chain
+    A Kannan-Bachem column Hermite pass first finds the rank and bounds
+    every entry by the minors of the input.  Pivot loop: bring the smallest
+    trailing entry to the corner and clear its row and column with Hermite
+    steps (clearing may refill the cross, but each refill strictly shrinks
+    the pivot, so it terminates).  Chain
     repair: any diagonal pair breaking divisibility is rewritten as a
     comaximal 2x2 problem (factor out the gcd, add one row) and delegated
     to reduce_2x2_comaximal.  Zero diagonal entries end up as a suffix;
@@ -395,13 +477,10 @@ def smith_normal_form(ring: Ring, source: Matrix) -> ReductionCertificate:
     if source.ring != ring:
         raise ValueError("matrix ring mismatch")
     work = _Tracked(ring, source)
-    limit = min(work.m, work.n)
-    rank = 0
-    for k in range(limit):
-        if not _move_pivot(work, k):
-            break
+    rank = _column_hermite(work)
+    for k in range(rank):
+        _move_pivot(work, k)
         _clear_cross(work, k)
-        rank += 1
     for i in range(rank):
         for j in range(i + 1, rank):
             _merge_diagonal_pair(work, i, j)
@@ -455,7 +534,8 @@ def stable_range_2_witness(
             inv_cert = bezout_gcd(ring, s, modulus)
             u = _reduce_mod(ring, rhs * inv_cert.u, modulus)
             h = ring.divides(modulus, rhs - u * s)
-            assert h is not None
+            if h is None:
+                raise AssertionError("stable-range-2 witness: residue does not divide")
         witness = SR2Witness(a, b, c, u, h)
     shortened = (a + c * witness.p, b + c * witness.q)
     if not is_comaximal(ring, shortened):
@@ -467,8 +547,6 @@ def _reduce_mod(ring: Ring, value: RingElement, modulus: RingElement) -> RingEle
     """Canonical residue of value modulo a nonzero modulus (keeps entries small)."""
     if isinstance(ring, IntegerRing):
         return ring.element(value.payload % abs(modulus.payload))
-    from .rings import _poly_divmod  # local import: payload helper
-
     return ring.element(_poly_divmod(value.payload, modulus.payload, ring.p)[1])
 
 

@@ -1,9 +1,11 @@
 """Independent checking of diagonal-reduction certificates.
 
 Deliberately shares no matrix algebra with the producer: the product is
-recomputed with a plain triple loop and determinants come from a memoized
-Laplace expansion, which stays exact over every supported ring (including
-finite ones with zero divisors).
+recomputed with a plain triple loop, and determinants come from
+fraction-free Bareiss elimination over the integral domains Z and GF(p)[x]
+and from Berkowitz's division-free algorithm over the finite carriers,
+whose zero divisors rule out Bareiss's exact division.  Both are
+polynomial in the matrix size and exact over their rings.
 """
 
 from __future__ import annotations
@@ -17,48 +19,75 @@ class CertificateShapeError(ValueError):
 
 
 def _multiply(ring: Ring, left: list[list], right: list[list]) -> list[list]:
-    rows, inner = len(left), len(right)
-    cols = len(right[0]) if right else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = ring._zero()
-            for k in range(inner):
-                acc = ring._add(acc, ring._mul(left[i][k], right[k][j]))
-            row.append(acc)
-        out.append(row)
-    return out
+    columns = list(zip(*right))
+    return [[_dot(ring, row, col) for col in columns] for row in left]
+
+
+def _dot(ring: Ring, xs, ys):
+    acc = ring._zero()
+    for x, y in zip(xs, ys):
+        acc = ring._add(acc, ring._mul(x, y))
+    return acc
+
+
+def _bareiss_determinant(ring: Ring, grid: list[list]):
+    """Fraction-free Gaussian elimination (Bareiss 1968) over Z or GF(p)[x].
+
+    Every division by the previous pivot is exact in an integral domain, so
+    intermediate entries stay minors of the input: O(n^3) ring operations.
+    """
+    a = [list(row) for row in grid]
+    n = len(a)
+    zero, one = ring._zero(), ring._one()
+    sign, prev = one, one
+    for k in range(n - 1):
+        if a[k][k] == zero:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != zero), None)
+            if swap is None:
+                return zero
+            a[k], a[swap] = a[swap], a[k]
+            sign = ring._neg(sign)
+        pivot, row_k = a[k][k], a[k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                num = ring._sub(ring._mul(pivot, row_i[j]), ring._mul(lead, row_k[j]))
+                row_i[j] = ring._divides(prev, num)
+        prev = pivot
+    return ring._mul(sign, a[n - 1][n - 1]) if n else one
+
+
+def _berkowitz_determinant(ring: Ring, grid: list[list]):
+    """Division-free determinant (Berkowitz 1984), exact in any commutative ring.
+
+    Builds the characteristic polynomial of the trailing principal
+    submatrices from the bottom-right corner outwards: splitting the block
+    at row r as [[a, R], [C, A]], the new coefficients are the old ones
+    times the lower-triangular Toeplitz matrix of 1, -a, -R*C, -R*A*C, ...
+    O(n^4) ring operations and no division, so zero divisors do no harm.
+    """
+    n = len(grid)
+    one = ring._one()
+    coeffs = [one]  # det(t*I - M), leading coefficient first, M empty
+    for r in range(n - 1, -1, -1):
+        row = grid[r][r + 1 :]
+        vec = [grid[i][r] for i in range(r + 1, n)]
+        toeplitz = [one, ring._neg(grid[r][r])]
+        for k in range(n - r - 1):
+            if k:
+                vec = [_dot(ring, grid[i][r + 1 :], vec) for i in range(r + 1, n)]
+            toeplitz.append(ring._neg(_dot(ring, row, vec)))
+        coeffs = [_dot(ring, toeplitz[i::-1], coeffs) for i in range(len(toeplitz))]
+    return ring._neg(coeffs[n]) if n % 2 else coeffs[n]
 
 
 def _determinant(ring: Ring, grid: list[list]):
-    """Laplace expansion along rows, memoized on the surviving column set."""
-    n = len(grid)
-    if n == 0:
-        return ring._one()
-    zero = ring._zero()
-    memo: dict = {}
-
-    def expand(cols: tuple):
-        if len(cols) == 1:
-            return grid[n - 1][cols[0]]
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        row = n - len(cols)
-        acc = zero
-        for idx, c in enumerate(cols):
-            v = grid[row][c]
-            if v == zero:
-                continue
-            term = ring._mul(v, expand(cols[:idx] + cols[idx + 1 :]))
-            if idx % 2:
-                term = ring._neg(term)
-            acc = ring._add(acc, term)
-        memo[cols] = acc
-        return acc
-
-    return expand(tuple(range(n)))
+    """Polynomial-time exact determinant: Bareiss on the integral domains Z and
+    GF(p)[x], Berkowitz on the finite carriers, which have zero divisors."""
+    if isinstance(ring, (IntegerRing, PolynomialRing)):
+        return _bareiss_determinant(ring, grid)
+    return _berkowitz_determinant(ring, grid)
 
 
 def _normalized(ring: Ring, d) -> bool:

@@ -1,9 +1,9 @@
 """Independent test oracles.
 
 These deliberately re-derive results with different algorithms than the
-package under test: determinantal divisors from raw minor expansion,
-polynomial arithmetic from schoolbook loops, Hermite completions from brute
-force over invertible 2x2 matrices.
+package under test: determinantal divisors and determinants from raw minor
+expansion, polynomial arithmetic from schoolbook loops, Hermite completions
+from brute force over invertible 2x2 matrices.
 """
 
 import math
@@ -158,6 +158,43 @@ def poly_determinantal_divisors(grid, p):
         out.append(g)
         exhausted = g == ()
     return out
+
+
+# -- determinants over any ring ------------------------------------------------
+
+
+def laplace_determinant(ring, grid):
+    """Laplace expansion along rows, memoized on the surviving column set.
+
+    Exact over every carrier (zero divisors included) but exponential in n,
+    so it only serves as a small-n reference.
+    """
+    n = len(grid)
+    if n == 0:
+        return ring._one()
+    zero = ring._zero()
+    memo = {}
+
+    def expand(cols):
+        if len(cols) == 1:
+            return grid[n - 1][cols[0]]
+        got = memo.get(cols)
+        if got is not None:
+            return got
+        row = n - len(cols)
+        acc = zero
+        for idx, c in enumerate(cols):
+            v = grid[row][c]
+            if v == zero:
+                continue
+            term = ring._mul(v, expand(cols[:idx] + cols[idx + 1 :]))
+            if idx % 2:
+                term = ring._neg(term)
+            acc = ring._add(acc, term)
+        memo[cols] = acc
+        return acc
+
+    return expand(tuple(range(n)))
 
 
 # -- misc ---------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +120,27 @@ def test_diadem_negative_literal_after_separator():
     code, text = run_cli("diadem", "Z", "7", "--", "-1")
     assert code == 0
     assert "diadem=7" in text
+
+
+def test_diadem_failed_spot_certification_exits_2_under_optimize():
+    # python -O strips assert statements, so the check must be an explicit
+    # raise: a diadem that fails its own certificate is an internal error
+    script = (
+        "import sys, edrkit.cli as cli\n"
+        "cli.is_diadem_via_quotient = lambda *args: False\n"
+        "sys.exit(cli.main(['diadem', 'Z', '3', '5']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "spot-certification" in done.stderr
 
 
 # -- witness ----------------------------------------------------------------

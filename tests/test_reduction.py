@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -287,6 +288,58 @@ def _adjugate_inverse(grid):
     return inv, det
 
 
+def _seeded_int_grid(label, rows, cols):
+    rng = random.Random(f"swell-{label}")
+    return [[rng.randint(-99, 99) for _ in range(cols)] for _ in range(rows)]
+
+
+def _rank_deficient_grid(n, rank):
+    """n x n with entries in [-99, 99] whose last rows repeat the first ones."""
+    top = _seeded_int_grid(f"deficient-{n}", rank, n)
+    return top + [list(top[i % rank]) for i in range(n - rank)]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        pytest.param(_seeded_int_grid("z32", 32, 32), id="square-32"),
+        pytest.param(_seeded_int_grid("z48", 48, 48), id="square-48"),
+        pytest.param(_seeded_int_grid("wide", 20, 32), id="wide-20x32"),
+        pytest.param(_seeded_int_grid("tall", 32, 20), id="tall-32x20"),
+        pytest.param(_rank_deficient_grid(32, 20), id="rank-20-of-32"),
+    ],
+)
+def test_snf_transform_entries_stay_polynomial_over_z(grid):
+    # A polynomial bound: twice the bits of Hadamard's bound n^(n/2) * 99^n,
+    # padded to 2n(log2 99 + log2 n), whatever the shape or rank.  Without
+    # size reduction the entries reach 10^5 bits at n = 32.
+    m = int_matrix(grid)
+    n = max(m.shape)
+    cert = smith_normal_form(Z, m)
+    bits = max(abs(e.payload).bit_length() for b in (cert.P, cert.Q) for e in b.entries)
+    assert bits <= 2 * n * (math.log2(99) + math.log2(n))
+    assert verify_certificate(Z, m, cert)
+    # the certificate text stays under CPython's default int/str digit limit
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert parse_certificate(Z, format_certificate(cert)) == cert
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def test_snf_transform_degrees_stay_polynomial_over_gf5x():
+    n = 14
+    rng = random.Random("swell-gf5-14")
+    grid = [[tuple(rng.randrange(5) for _ in range(2)) for _ in range(n)] for _ in range(n)]
+    m = Matrix.from_rows(G5, grid)
+    cert = smith_normal_form(G5, m)
+    degree = max(len(e.payload) - 1 for b in (cert.P, cert.Q) for e in b.entries)
+    # entry degree <= 1, so a k x k minor has degree <= k; two minors bound P, Q
+    assert degree <= 2 * n
+    assert verify_certificate(G5, m, cert)
+
+
 def test_transforms_have_exact_inverses():
     rng = random.Random(31)
     for _ in range(30):
@@ -418,6 +471,19 @@ def test_sr2_witness_over_polynomials():
         done += 1
         w = stable_range_2_witness(G5, a, b, c)
         assert is_comaximal(G5, (a + c * w.p, b + c * w.q))
+
+
+def test_sr2_witness_residue_check_raises(monkeypatch):
+    import edrkit.reduction as reduction
+
+    # an off-by-one residue no longer divides out; the check must raise even
+    # under python -O, which strips assert statements
+    good = reduction._reduce_mod
+    monkeypatch.setattr(
+        reduction, "_reduce_mod", lambda ring, v, m: good(ring, v, m) + ring.one
+    )
+    with pytest.raises(AssertionError, match="does not divide"):
+        stable_range_2_witness(Z, Z.element(5), Z.element(7), Z.element(11))
 
 
 def test_sr2_witness_rejects_non_comaximal():
