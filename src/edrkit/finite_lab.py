@@ -10,7 +10,6 @@ trivial case of a unit.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -126,14 +125,25 @@ def is_comaximal(ring: Ring, elems: Sequence[RingElement]) -> bool:
     """
     for e in elems:
         ring._check(e)
-    payloads = tuple(e.payload for e in elems)
-    if ring.finite:
-        return ring._ideal_has_one(payloads)
-    if isinstance(ring, IntegerRing):
-        return math.gcd(*payloads) == 1 if payloads else False
-    if isinstance(ring, PolynomialRing):
-        return ring._ideal_has_one(payloads)
-    raise UnsupportedRingError(f"comaximality is not decidable on {ring.spec()}")
+    if not (ring.finite or isinstance(ring, (IntegerRing, PolynomialRing))):
+        raise UnsupportedRingError(f"comaximality is not decidable on {ring.spec()}")
+    return ring._ideal_has_one(tuple(e.payload for e in elems))
+
+
+def _per_ring(compute):
+    """Memoize compute(ring, payload) in the ring's own memo table.
+
+    The table lives on the ring instance, so it is freed with the ring
+    instead of keeping every ring alive for the life of the process.
+    """
+
+    def cached(ring: Ring, x):
+        table = ring._memo.setdefault(compute, {})
+        if x not in table:
+            table[x] = compute(ring, x)
+        return table[x]
+
+    return cached
 
 
 def _require_finite(ring: Ring, bound: int | None) -> None:
@@ -300,7 +310,7 @@ def check_gelfand(ring: Ring, bound: int | None = DEFAULT_PAIR_BOUND) -> Propert
     return _report(ring, RingProperty.GELFAND, counter, checked)
 
 
-@functools.lru_cache(maxsize=None)
+@_per_ring
 def _quotients_by(ring: Ring, g) -> dict:
     """target payload -> tuple of q with g*q = target, in canonical order."""
     table: dict = {}
@@ -349,7 +359,7 @@ def check_hermite(ring: Ring, bound: int | None = DEFAULT_PAIR_BOUND) -> Propert
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@_per_ring
 def _is_diadem_payload(ring: Ring, w) -> bool:
     """Direct definition on a finite ring: for all (c, d) with (w, c, d)
     comaximal there is m with (w, c + d*m) comaximal."""
@@ -381,7 +391,7 @@ def is_diadem_direct(
     return _is_diadem_payload(ring, w)
 
 
-@functools.lru_cache(maxsize=None)
+@_per_ring
 def _quotient_has_stable_range_1(ring: Ring, w) -> bool:
     quotient = quotient_ring(ring, RingElement(ring, w))
     return check_stable_range_1(quotient, bound=None).holds
@@ -507,26 +517,26 @@ def verify_associate_diadems(
 
 
 def find_coprime_splitting(c: int, a: int, b: int) -> CoprimeSplitting:
-    """Factor c = r*s with gcd(r, s) = gcd(r, a) = gcd(s, b) = 1.
+    """Factor c = r*s with gcd(r, s) = gcd(r, a) = gcd(s, b) = 1, r > 0 least.
 
-    Searches positive divisors of c in increasing order.  A splitting
-    always exists when gcd(a, b, c) = 1: route each prime power of c into
-    s when the prime divides a, into r otherwise.
+    gcd peeling, no factoring: strip from |c| every prime it shares with b;
+    what is left is the largest x dividing |c| with gcd(x, b) = 1, and
+    r = |c| / x.  Since s = c / r must be coprime to b, every valid r
+    carries the full power of each prime of c that divides b, so this r
+    is the least.  It is coprime to a because gcd(a, b, c) = 1, and to s
+    because the primes of s do not divide b.
     """
     if c == 0:
         raise ValueError("c must be nonzero")
     if math.gcd(a, b, c) != 1:
         raise ValueError("gcd(a, b, c) must be 1")
-    divisors = sorted(
-        d for d in range(1, abs(c) + 1) if abs(c) % d == 0
-    )
-    for r in divisors:
-        s = c // r
-        if math.gcd(r, s) == 1 and math.gcd(r, a) == 1 and math.gcd(s, b) == 1:
-            return CoprimeSplitting(c, r, s)
-    raise ValueError(
-        f"no coprime splitting of {c} for (a, b) = ({a}, {b}); tried divisors {divisors}"
-    )
+    x = abs(c)
+    g = math.gcd(x, b)
+    while g > 1:
+        x //= g
+        g = math.gcd(x, b)
+    r = abs(c) // x
+    return CoprimeSplitting(c, r, c // r)
 
 
 # ---------------------------------------------------------------------------

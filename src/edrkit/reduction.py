@@ -4,10 +4,12 @@ The 2x2 comaximal core follows a fixed five-step sequence: replace the
 lower-left entry by a diadem with unipotent shears, send the bottom row to
 (0, g) with a column Hermite step, use the divisor-of-a-diadem completion
 to make the first column comaximal, bring a 1 into the corner with a row
-Hermite step, and clear.  The full Smith form first runs a Kannan-Bachem
-column Hermite pass that keeps every entry bounded by the input's minors,
-then finishes with plain gcd elimination; divisibility chains are repaired
-by delegating diagonal pairs back to the comaximal core.
+Hermite step, and clear.  The full Smith form diagonalizes with one
+routine, a Kannan-Bachem column Hermite pass that keeps every entry
+bounded by the input's minors, run alternately on the matrix and its
+transpose until nothing is left below the diagonal (polynomially many
+passes); divisibility chains are repaired by delegating diagonal pairs
+back to the comaximal core.
 """
 
 from __future__ import annotations
@@ -179,6 +181,15 @@ class _Tracked:
             for k in range(len(ri)):
                 ri[k] = ring._mul(u, ri[k])
 
+    def transpose(self) -> None:
+        """Swap to the transposed problem: q^t * A0^t * p^t = a^t.
+
+        Column operations on the result are row operations on the original.
+        """
+        self.a = _transpose_grid(self.a, self.n)
+        self.p, self.q = _transpose_grid(self.q, self.n), _transpose_grid(self.p, self.m)
+        self.m, self.n = self.n, self.m
+
     def certificate(self) -> ReductionCertificate:
         ring = self.ring
         return ReductionCertificate(
@@ -188,11 +199,15 @@ class _Tracked:
         )
 
 
+def _transpose_grid(grid, width: int):
+    return [[row[j] for row in grid] for j in range(width)]
+
+
 def _unit_inverse(ring: Ring, u):
     """Inverse of a unit payload in Z or GF(p)[x]."""
     if isinstance(ring, IntegerRing):
         return u
-    inv = pow(u[0], ring.p - 2, ring.p) if ring.p > 2 else u[0]
+    inv = pow(u[0], -1, ring.p)
     return (inv,)
 
 
@@ -383,63 +398,6 @@ def _column_hermite(work: _Tracked) -> int:
     return rank
 
 
-def _move_pivot(work: _Tracked, k: int) -> None:
-    """Swap the canonically smallest nonzero trailing entry into (k, k).
-
-    One exists while k is below the rank.
-    """
-    ring = work.ring
-    zero = ring._zero()
-    best = None
-    best_key = None
-    for i in range(k, work.m):
-        for j in range(k, work.n):
-            v = work.a[i][j]
-            if v == zero:
-                continue
-            key = ring._sort_key(v)
-            if best_key is None or key < best_key:
-                best, best_key = (i, j), key
-    work.swap_rows(k, best[0])
-    work.swap_cols(k, best[1])
-
-
-def _clear_cross(work: _Tracked, k: int) -> None:
-    """Zero the pivot cross with Hermite steps.
-
-    Divisible entries are cleared by pure shears, which leave the pivot row
-    and column alone; a non-divisible entry shrinks the pivot strictly, so
-    the refill loop terminates.
-    """
-    ring = work.ring
-    zero = ring._zero()
-    while True:
-        for i in range(k + 1, work.m):
-            target = work.a[i][k]
-            if target == zero:
-                continue
-            q = ring._divides(work.a[k][k], target)
-            if q is not None:
-                work.add_row(i, k, ring._neg(q))
-            else:
-                t, _ = _hermite_blocks(ring, work.a[k][k], work.a[i][k])
-                work.row_block(k, i, _transposed(t))
-        for j in range(k + 1, work.n):
-            target = work.a[k][j]
-            if target == zero:
-                continue
-            q = ring._divides(work.a[k][k], target)
-            if q is not None:
-                work.add_col(j, k, ring._neg(q))
-            else:
-                t, _ = _hermite_blocks(ring, work.a[k][k], work.a[k][j])
-                work.col_block(k, j, t)
-        if all(work.a[i][k] == zero for i in range(k + 1, work.m)) and all(
-            work.a[k][j] == zero for j in range(k + 1, work.n)
-        ):
-            return
-
-
 def _merge_diagonal_pair(work: _Tracked, i: int, j: int) -> None:
     """Replace diag entries (d_i, d_j) by (gcd, lcm-associate) via the core."""
     ring = work.ring
@@ -463,24 +421,45 @@ def _merge_diagonal_pair(work: _Tracked, i: int, j: int) -> None:
 def smith_normal_form(ring: Ring, source: Matrix) -> ReductionCertificate:
     """Full diagonal reduction with the divisibility chain d_1 | d_2 | ...
 
-    A Kannan-Bachem column Hermite pass first finds the rank and bounds
-    every entry by the minors of the input.  Pivot loop: bring the smallest
-    trailing entry to the corner and clear its row and column with Hermite
-    steps (clearing may refill the cross, but each refill strictly shrinks
-    the pivot, so it terminates).  Chain
-    repair: any diagonal pair breaking divisibility is rewritten as a
-    comaximal 2x2 problem (factor out the gcd, add one row) and delegated
-    to reduce_2x2_comaximal.  Zero diagonal entries end up as a suffix;
-    entries are normalized nonnegative (Z) or monic (GF(p)[x]).
+    Elimination (Kannan & Bachem, SIAM J. Comput. 8(4), 1979): run the
+    column Hermite pass, and while an entry below the diagonal survives,
+    run it again on the transpose.  Every pass keeps entries bounded by
+    the minors of the input, and the number of passes is polynomial.
+    After the first pass, let d_k be the product of the first k diagonal
+    entries; it is the gcd of the k x k minors of the (row-permuted)
+    input's first k rows, so it divides a nonzero minor.  The next pass
+    works on the transpose, whose leading k x k block still has
+    determinant d_k; column operations within the first k columns keep it
+    up to a unit, so when the pass has finished column k its first k
+    pivots multiply to d_k.  Shears leave pivots alone, and a Hermite
+    block (a pivot not dividing the entry it clears) replaces a pivot by
+    a proper divisor, so d_k drops to a proper divisor for every k past
+    that pivot.  A pass that needs only shears clears the transposed
+    triangle down to its diagonal.  So every pass but the first and the
+    last lowers sum_k Omega(d_k) (prime factors with multiplicity), and
+    there are at most 2 + sum_k Omega(d_k) passes: fewer than the bit
+    size (or degree) of those minors.
+
+    Chain repair: any diagonal pair breaking divisibility is rewritten as
+    a comaximal 2x2 problem (factor out the gcd, add one row) and
+    delegated to reduce_2x2_comaximal.  Zero diagonal entries end up as a
+    suffix; entries are normalized nonnegative (Z) or monic (GF(p)[x]).
     """
     _require_bezout_domain(ring)
     if source.ring != ring:
         raise ValueError("matrix ring mismatch")
     work = _Tracked(ring, source)
+    zero = ring._zero()
     rank = _column_hermite(work)
-    for k in range(rank):
-        _move_pivot(work, k)
-        _clear_cross(work, k)
+    flipped = False
+    # columns rank.. are zero after a pass, so only the first rank can hold
+    # entries below the diagonal
+    while any(work.a[i][j] != zero for j in range(rank) for i in range(j + 1, work.m)):
+        work.transpose()
+        flipped = not flipped
+        _column_hermite(work)
+    if flipped:
+        work.transpose()
     for i in range(rank):
         for j in range(i + 1, rank):
             _merge_diagonal_pair(work, i, j)

@@ -169,6 +169,11 @@ class Ring(ABC):
     def _principal_cache(self) -> dict:
         return {}
 
+    @cached_property
+    def _memo(self) -> dict:
+        """Memo tables of the exhaustive helpers, keyed by helper; they die with the ring."""
+        return {}
+
     def _principal(self, x: Any) -> frozenset:
         """The principal ideal xR as a payload set (finite rings)."""
         cache = self._principal_cache
@@ -462,7 +467,7 @@ def _poly_divmod(f, g, p):
     rem = list(f)
     if len(f) < len(g):
         return (), tuple(f)
-    inv_lead = pow(g[-1], p - 2, p) if p > 2 else g[-1]
+    inv_lead = pow(g[-1], -1, p)
     quot = [0] * (len(f) - len(g) + 1)
     for k in range(len(quot) - 1, -1, -1):
         coef = (rem[k + len(g) - 1] * inv_lead) % p
@@ -480,7 +485,7 @@ def _poly_monic(f, p):
     lc = f[-1]
     if lc == 1:
         return tuple(f), 1
-    inv = pow(lc, p - 2, p) if p > 2 else lc
+    inv = pow(lc, -1, p)
     return tuple(c * inv % p for c in f), lc
 
 
@@ -893,7 +898,7 @@ def _ext_gcd_poly(a: tuple, b: tuple, p: int) -> tuple[tuple, tuple, tuple]:
         old_t, t = t, _poly_add(old_t, _poly_neg(_poly_mul(q, t, p), p), p)
     monic, lc = _poly_monic(old_r, p)
     if lc != 1:
-        inv = pow(lc, p - 2, p) if p > 2 else lc
+        inv = pow(lc, -1, p)
         scale = (inv,)
         old_s = _poly_mul(old_s, scale, p)
         old_t = _poly_mul(old_t, scale, p)

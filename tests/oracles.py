@@ -215,6 +215,20 @@ def squarefree_kernel(n):
     return out
 
 
+def brute_coprime_splitting(c, a, b):
+    """Least positive r (and s = c / r) with gcd(r, s) = gcd(r, a) = gcd(s, b) = 1.
+
+    Trial division over every divisor of c: O(|c|), a small-c reference.
+    """
+    for r in range(1, abs(c) + 1):
+        if c % r:
+            continue
+        s = c // r
+        if math.gcd(r, s) == 1 and math.gcd(r, a) == 1 and math.gcd(s, b) == 1:
+            return r, s
+    return None
+
+
 def brute_hermite_pair(ring, a, b):
     """Search all invertible 2x2 matrices Q for (a b)Q = (g, 0)."""
     elems = [e.payload for e in ring.elements()]

@@ -1,5 +1,8 @@
+import gc
 import math
 import random
+import time
+import weakref
 
 import pytest
 
@@ -11,6 +14,7 @@ from edrkit import (
     IntegerRing,
     PropertyReport,
     RingProperty,
+    UnsupportedRingError,
     check_clean,
     check_dyadic_range_1,
     check_exchange,
@@ -33,7 +37,7 @@ from edrkit import (
 )
 from edrkit.finite_lab import CHECKERS
 
-from oracles import brute_hermite_pair
+from oracles import brute_coprime_splitting, brute_hermite_pair
 
 Z = IntegerRing()
 R12 = IntegerModRing(12)
@@ -76,6 +80,13 @@ def test_is_comaximal_examples():
     assert is_comaximal(Z, [Z.element(6), Z.element(10), Z.element(15)])
     assert not is_comaximal(Z, [Z.element(4), Z.element(6)])
     assert not is_comaximal(R12, [R12.element(4), R12.element(6)])
+    g5 = ring_parse("GF(5)[x]")
+    x2_1, x_1, x_2 = g5.element([4, 0, 1]), g5.element([4, 1]), g5.element([3, 1])
+    assert is_comaximal(g5, [x2_1, x_2])  # x^2 - 1 and x - 2 share no root
+    assert not is_comaximal(g5, [x2_1, x_1])
+    zz = ring_parse("Z x Z")
+    with pytest.raises(UnsupportedRingError, match="not decidable"):
+        is_comaximal(zz, [zz.element((1, 1))])
 
 
 @pytest.mark.parametrize("ring", SMALL_RINGS, ids=lambda r: r.spec())
@@ -192,6 +203,17 @@ def test_is_diadem_direct_examples():
 def test_is_diadem_direct_requires_comaximal_pair():
     with pytest.raises(ValueError, match="not comaximal"):
         is_diadem_direct(R12, R12.element(4), R12.element(6), R12.element(0))
+
+
+def test_diadem_memos_do_not_keep_rings_alive():
+    ring = IntegerModRing(10)
+    assert is_diadem_direct(ring, ring.element(3), ring.element(4), ring.element(1))
+    assert is_diadem_via_quotient(ring, ring.element(3), ring.element(4), ring.element(1))
+    assert check_hermite(ring).holds
+    ref = weakref.ref(ring)
+    del ring
+    gc.collect()
+    assert ref() is None
 
 
 def test_is_diadem_via_quotient_examples():
@@ -317,6 +339,27 @@ def test_coprime_splitting_conditions_on_random_inputs():
         assert math.gcd(s.r, s.s) == 1
         assert math.gcd(s.r, a) == 1
         assert math.gcd(s.s, b) == 1
+
+
+def test_coprime_splitting_matches_divisor_scan():
+    rng = random.Random(19)
+    for c in [c for k in range(2, 401) for c in (k, -k)]:
+        while True:
+            a, b = rng.randint(-500, 500), rng.randint(-500, 500)
+            if math.gcd(a, b, c) == 1:
+                break
+        s = find_coprime_splitting(c, a, b)
+        assert (s.r, s.s) == brute_coprime_splitting(c, a, b), (c, a, b)
+
+
+def test_coprime_splitting_is_fast_for_large_c():
+    # a divisor scan up to |c| takes seconds here and never ends at 10^18
+    start = time.perf_counter()
+    s = find_coprime_splitting(2**8 * 3**5 * 5**3 * 13, 7, 6)
+    assert (s.r, s.s) == (2**8 * 3**5, 5**3 * 13)
+    s = find_coprime_splitting(-(2**40) * 3**20, 5, 3)
+    assert (s.r, s.s) == (3**20, -(2**40))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_coprime_splitting_rejects_bad_inputs():

@@ -3,6 +3,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edrkit import (
     CertificateShapeError,
@@ -253,6 +255,125 @@ def test_snf_over_polynomials():
         for k, d in enumerate(e.payload for e in cert.D.diagonal()):
             prod = p_mul(prod, d, 5)
             assert prod == oracle[k]
+
+
+SNF_RINGS = {
+    "Z": Z,
+    "GF(2)[x]": PolynomialRing(2),
+    "GF(3)[x]": PolynomialRing(3),
+    "GF(5)[x]": G5,
+}
+
+
+def _power(ring, base, k):
+    out = ring._one()
+    for _ in range(k):
+        out = ring._mul(out, base)
+    return out
+
+
+def _snf_entries(ring, prime_powers):
+    if isinstance(ring, IntegerRing):
+        if prime_powers:
+            return st.builds(
+                lambda unit, base, k: unit * base**k,
+                st.sampled_from([1, -1]),
+                st.sampled_from([2, 3]),
+                st.integers(0, 6),
+            )
+        return st.integers(-30, 30)
+    if prime_powers:
+        # unit multiples of powers of the primes x and x + 1
+        return st.builds(
+            lambda unit, base, k: ring._mul((unit,), _power(ring, base, k)),
+            st.integers(1, ring.p - 1),
+            st.sampled_from([(0, 1), (1, 1)]),
+            st.integers(0, 4),
+        )
+    return st.lists(st.integers(0, ring.p - 1), max_size=3).map(ring._canonical)
+
+
+@st.composite
+def _snf_grids(draw, ring, kind):
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    zero = ring._zero()
+    entries = _snf_entries(ring, kind == "prime-power")
+    if kind == "sparse":
+        # about three entries in four are zero
+        entries = st.one_of(st.just(zero), st.just(zero), st.just(zero), entries)
+    if kind == "rank-deficient":
+        r = draw(st.integers(0, min(m, n) - 1))
+        left = [[draw(entries) for _ in range(r)] for _ in range(m)]
+        right = [[draw(entries) for _ in range(n)] for _ in range(r)]
+        grid = [[zero] * n for _ in range(m)]
+        for i in range(m):
+            for j in range(n):
+                for k in range(r):
+                    grid[i][j] = ring._add(grid[i][j], ring._mul(left[i][k], right[k][j]))
+        return grid
+    if kind == "non-chain-diagonal":
+        # a random diagonal, seldom a chain d_1 | d_2 | ..., hidden by unimodular shears
+        grid = [[zero] * n for _ in range(m)]
+        for i in range(min(m, n)):
+            grid[i][i] = draw(entries)
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+            f = draw(entries)
+            if i != j:
+                grid[i] = [ring._add(x, ring._mul(f, y)) for x, y in zip(grid[i], grid[j])]
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            if i != j:
+                for row in grid:
+                    row[i] = ring._add(row[i], ring._mul(f, row[j]))
+        return grid
+    return [[draw(entries) for _ in range(n)] for _ in range(m)]
+
+
+def _determinantal_divisors(ring, grid):
+    if isinstance(ring, IntegerRing):
+        return int_determinantal_divisors(grid)
+    return poly_determinantal_divisors(grid, ring.p)
+
+
+@pytest.mark.parametrize(
+    "kind", ["dense", "sparse", "rank-deficient", "prime-power", "non-chain-diagonal"]
+)
+@pytest.mark.parametrize("name", list(SNF_RINGS))
+def test_snf_diagonal_matches_determinantal_divisors(name, kind):
+    ring = SNF_RINGS[name]
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(_snf_grids(ring, kind))
+    def check(grid):
+        m = Matrix.from_rows(ring, grid)
+        cert = smith_normal_form(ring, m)
+        assert verify_certificate(ring, m, cert)
+        prod = ring._one()
+        for d, expected in zip(cert.D.diagonal(), _determinantal_divisors(ring, grid)):
+            prod = ring._mul(prod, d.payload)
+            assert prod == expected
+
+    check()
+
+
+def test_snf_later_hermite_passes(monkeypatch):
+    import edrkit.reduction as reduction
+
+    # the first pass leaves 2 below the diagonal; the passes on the transpose
+    # shrink the pivots 4 -> 2 -> 1 before the matrix is diagonal
+    passes = []
+    inner = reduction._column_hermite
+
+    def counted(work):
+        passes.append((work.m, work.n))
+        return inner(work)
+
+    monkeypatch.setattr(reduction, "_column_hermite", counted)
+    m = int_matrix([[4, 0], [2, 3]])
+    cert = smith_normal_form(Z, m)
+    assert len(passes) >= 3
+    assert cert.D.payload_grid() == [[1, 0], [0, 12]]
+    assert verify_certificate(Z, m, cert)
 
 
 def test_snf_deterministic():
