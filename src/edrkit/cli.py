@@ -15,7 +15,6 @@ from .finite_lab import (
     CHECKERS,
     DEFAULT_PAIR_BOUND,
     DEFAULT_TRIPLE_BOUND,
-    TRIPLE_QUANTIFIER,
     CardinalityBoundError,
     DiademEvidence,
     RingProperty,
@@ -131,12 +130,8 @@ def _cmd_check(args, out) -> int:
     out.write(HEADER + "\n")
     all_hold = True
     for name in names:
-        bound = args.bound
-        if bound is None:
-            bound = (
-                DEFAULT_TRIPLE_BOUND if name in TRIPLE_QUANTIFIER else DEFAULT_PAIR_BOUND
-            )
-        report = CHECKERS[name](ring, bound=bound)
+        checker = CHECKERS[name]
+        report = checker(ring) if args.bound is None else checker(ring, bound=args.bound)
         out.write(report.line() + "\n")
         all_hold = all_hold and report.holds
     return EXIT_OK if all_hold else EXIT_NEGATIVE
@@ -155,7 +150,7 @@ def _cmd_diadem(args, out) -> int:
     ):
         # spot-certify the quotient criterion when the quotient is small
         if abs(witness.diadem.payload) <= args.bound and not is_diadem_via_quotient(
-            ring, a, b, witness.multiplier
+            ring, a, b, witness.multiplier, args.bound
         ):
             raise AssertionError("diadem failed its quotient spot-certification")
     out.write(HEADER + "\n")

@@ -1,7 +1,10 @@
 """Exhaustive decision procedures on finite commutative rings.
 
-Every checker sweeps the full quantifier domain (no sampling) and returns a
-PropertyReport; a negative verdict carries a replayable counterexample.
+Each property has one search, _<property>_violation(ring, tuples), that
+returns the first outer tuple violating the property's defining formula,
+or None.  The checkers feed it the full quantifier domain (no sampling)
+and wrap its answer in a PropertyReport; counterexample_is_genuine replays
+a negative report by running the same search on the one recorded tuple.
 The diadem machinery gives three routes to the same notion: the direct
 definition on finite rings, the stable-range-1 quotient criterion, and the
 trivial case of a unit.
@@ -10,6 +13,7 @@ trivial case of a unit.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -52,8 +56,9 @@ class RingProperty(enum.Enum):
 class PropertyReport:
     """Verdict of an exhaustive property check.
 
-    checked counts the outer universally-quantified tuples that were
-    enumerated; when the property holds it equals the full domain size.
+    checked is the size of the outer universally-quantified domain,
+    |R|^arity (|R| for clean and Gelfand, |R|^3 for stable range 2,
+    |R|^2 otherwise), whether or not a counterexample turned up.
     """
 
     property: RingProperty
@@ -155,125 +160,122 @@ def _require_finite(ring: Ring, bound: int | None) -> None:
         )
 
 
-def _report(ring, prop, counter, checked):
-    if counter is None:
-        return PropertyReport(prop, ring, True, None, checked)
-    labeled = tuple((label, RingElement(ring, x)) for label, x in counter)
-    return PropertyReport(prop, ring, False, labeled, checked)
+def _sweep(ring: Ring, prop: RingProperty, bound: int | None) -> PropertyReport:
+    """Run the property's search over the whole outer domain R^arity."""
+    _require_finite(ring, bound)
+    arity, search = _SEARCHES[prop]
+    elems = ring._payloads
+    found = search(ring, itertools.product(elems, repeat=arity))
+    counterexample = (
+        None if found is None else tuple((label, RingElement(ring, x)) for label, x in found)
+    )
+    return PropertyReport(prop, ring, found is None, counterexample, len(elems) ** arity)
 
 
 # ---------------------------------------------------------------------------
-# Property checkers
+# Property searches and checkers
 # ---------------------------------------------------------------------------
+
+
+def _shift_violation(ring: Ring, tuples, multipliers, targets):
+    """First comaximal (a, b) with no a + b*t in targets for t in multipliers."""
+    for a, b in tuples:
+        if ring._ideal_has_one((a, b)) and not any(
+            ring._add(a, ring._mul(b, t)) in targets for t in multipliers
+        ):
+            return (("a", a), ("b", b))
+    return None
+
+
+def _stable_range_1_violation(ring: Ring, tuples):
+    return _shift_violation(ring, tuples, ring._payloads, ring._unit_set)
 
 
 def check_stable_range_1(ring: Ring, bound: int | None = DEFAULT_PAIR_BOUND) -> PropertyReport:
     """Every comaximal pair (a, b) shortens: some a + b*t is a unit."""
-    _require_finite(ring, bound)
+    return _sweep(ring, RingProperty.STABLE_RANGE_1, bound)
+
+
+def _stable_range_2_violation(ring: Ring, tuples):
     elems = ring._payloads
     units = ring._unit_set
-    checked = 0
-    counter = None
-    for a in elems:
-        for b in elems:
-            checked += 1
-            if counter is not None:
-                continue
-            if not ring._ideal_has_one((a, b)):
-                continue
-            if not any(ring._add(a, ring._mul(b, t)) in units for t in elems):
-                counter = (("a", a), ("b", b))
-    return _report(ring, RingProperty.STABLE_RANGE_1, counter, checked)
+    for a, b, c in tuples:
+        if not ring._ideal_has_one((a, b, c)):
+            continue
+        # A unit a + c*s settles it with t = 0.
+        if any(ring._add(a, ring._mul(c, s)) in units for s in elems):
+            continue
+        if not any(
+            ring._ideal_has_one(
+                (ring._add(a, ring._mul(c, s)), ring._add(b, ring._mul(c, t)))
+            )
+            for s in elems
+            for t in elems
+        ):
+            return (("a", a), ("b", b), ("c", c))
+    return None
 
 
 def check_stable_range_2(ring: Ring, bound: int | None = DEFAULT_TRIPLE_BOUND) -> PropertyReport:
     """Every comaximal triple (a, b, c) shortens to a comaximal pair
     (a + c*s, b + c*t)."""
-    _require_finite(ring, bound)
-    elems = ring._payloads
-    units = ring._unit_set
-    checked = 0
-    counter = None
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                checked += 1
-                if counter is not None:
-                    continue
-                if not ring._ideal_has_one((a, b, c)):
-                    continue
-                # A unit a + c*s settles it with t = 0.
-                if any(ring._add(a, ring._mul(c, s)) in units for s in elems):
-                    continue
-                if not any(
-                    ring._ideal_has_one(
-                        (ring._add(a, ring._mul(c, s)), ring._add(b, ring._mul(c, t)))
-                    )
-                    for s in elems
-                    for t in elems
-                ):
-                    counter = (("a", a), ("b", b), ("c", c))
-    return _report(ring, RingProperty.STABLE_RANGE_2, counter, checked)
+    return _sweep(ring, RingProperty.STABLE_RANGE_2, bound)
+
+
+def _idempotent_stable_range_1_violation(ring: Ring, tuples):
+    return _shift_violation(ring, tuples, ring._idempotents, ring._unit_set)
 
 
 def check_idempotent_stable_range_1(
     ring: Ring, bound: int | None = DEFAULT_PAIR_BOUND
 ) -> PropertyReport:
     """Stable range 1 with the multiplier restricted to idempotents."""
-    _require_finite(ring, bound)
-    elems = ring._payloads
+    return _sweep(ring, RingProperty.IDEMPOTENT_STABLE_RANGE_1, bound)
+
+
+def _clean_violation(ring: Ring, tuples):
     units = ring._unit_set
     idems = ring._idempotents
-    checked = 0
-    counter = None
-    for a in elems:
-        for b in elems:
-            checked += 1
-            if counter is not None:
-                continue
-            if not ring._ideal_has_one((a, b)):
-                continue
-            if not any(ring._add(a, ring._mul(b, e)) in units for e in idems):
-                counter = (("a", a), ("b", b))
-    return _report(ring, RingProperty.IDEMPOTENT_STABLE_RANGE_1, counter, checked)
+    for (x,) in tuples:
+        if not any(ring._sub(x, e) in units for e in idems):
+            return (("x", x),)
+    return None
 
 
 def check_clean(ring: Ring, bound: int | None = DEFAULT_PAIR_BOUND) -> PropertyReport:
     """Every element is a unit plus an idempotent."""
-    _require_finite(ring, bound)
-    units = ring._unit_set
+    return _sweep(ring, RingProperty.CLEAN, bound)
+
+
+def _exchange_violation(ring: Ring, tuples):
     idems = ring._idempotents
-    checked = 0
-    counter = None
-    for x in ring._payloads:
-        checked += 1
-        if counter is not None:
+    one = ring._one()
+    ideals = {x: ring._principal(x) for x in ring._payloads}
+    for a, b in tuples:
+        if not ring._ideal_has_one((a, b)):
             continue
-        if not any(ring._sub(x, e) in units for e in idems):
-            counter = (("x", x),)
-    return _report(ring, RingProperty.CLEAN, counter, checked)
+        aR, bR = ideals[a], ideals[b]
+        if not any(e in aR and ring._sub(one, e) in bR for e in idems):
+            return (("a", a), ("b", b))
+    return None
 
 
 def check_exchange(ring: Ring, bound: int | None = DEFAULT_PAIR_BOUND) -> PropertyReport:
     """For every comaximal (a, b) some idempotent e lies in aR with 1 - e in bR."""
-    _require_finite(ring, bound)
-    elems = ring._payloads
-    idems = ring._idempotents
+    return _sweep(ring, RingProperty.EXCHANGE, bound)
+
+
+def _gelfand_violation(ring: Ring, tuples):
     one = ring._one()
-    checked = 0
-    counter = None
-    for a in elems:
-        aR = ring._principal(a)
-        for b in elems:
-            checked += 1
-            if counter is not None:
-                continue
-            if not ring._ideal_has_one((a, b)):
-                continue
-            bR = ring._principal(b)
-            if not any(e in aR and ring._sub(one, e) in bR for e in idems):
-                counter = (("a", a), ("b", b))
-    return _report(ring, RingProperty.EXCHANGE, counter, checked)
+    zero = ring._zero()
+    for (a,) in tuples:
+        b = ring._sub(one, a)
+        # 1 + a*x and 1 + b*y range over the cosets 1 + aR and 1 + bR
+        lefts = {ring._add(one, r) for r in ring._principal(a)}
+        rights = {ring._add(one, r) for r in ring._principal(b)}
+        if not any(ring._mul(left, right) == zero for left in lefts for right in rights):
+            return (("a", a), ("b", b))
+    return None
 
 
 def check_gelfand(ring: Ring, bound: int | None = DEFAULT_PAIR_BOUND) -> PropertyReport:
@@ -282,32 +284,7 @@ def check_gelfand(ring: Ring, bound: int | None = DEFAULT_PAIR_BOUND) -> Propert
     The domain is parameterized by a (b = 1 - a), so checked counts the
     cardinality of the ring.
     """
-    _require_finite(ring, bound)
-    elems = ring._payloads
-    one = ring._one()
-    zero = ring._zero()
-    checked = 0
-    counter = None
-    for a in elems:
-        checked += 1
-        if counter is not None:
-            continue
-        b = ring._sub(one, a)
-        found = False
-        for x in elems:
-            left = ring._add(one, ring._mul(a, x))
-            if left == zero:
-                found = True
-                break
-            for y in elems:
-                if ring._mul(left, ring._add(one, ring._mul(b, y))) == zero:
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            counter = (("a", a), ("b", b))
-    return _report(ring, RingProperty.GELFAND, counter, checked)
+    return _sweep(ring, RingProperty.GELFAND, bound)
 
 
 @_per_ring
@@ -319,19 +296,18 @@ def _quotients_by(ring: Ring, g) -> dict:
     return {t: tuple(qs) for t, qs in table.items()}
 
 
-def _hermite_pair_ok(ring: Ring, a, b) -> bool:
+def _hermite_violation(ring: Ring, tuples):
     # (a b) completes to (g, 0) under an invertible Q iff a = g*a1, b = g*b1
     # with (a1, b1) comaximal; then Q is built from a1*u + b1*v = 1.
-    for g in ring._payloads:
-        gR = ring._principal(g)
-        if a not in gR or b not in gR:
-            continue
-        table = _quotients_by(ring, g)
-        for a1 in table[a]:
-            for b1 in table[b]:
-                if ring._ideal_has_one((a1, b1)):
-                    return True
-    return False
+    ideals = [(ring._principal(g), _quotients_by(ring, g)) for g in ring._payloads]
+    has_one = ring._ideal_has_one
+    for a, b in tuples:
+        for gR, table in ideals:
+            if a in gR and b in gR and any(map(has_one, itertools.product(table[a], table[b]))):
+                break
+        else:
+            return (("a", a), ("b", b))
+    return None
 
 
 def check_hermite(ring: Ring, bound: int | None = DEFAULT_PAIR_BOUND) -> PropertyReport:
@@ -340,18 +316,7 @@ def check_hermite(ring: Ring, bound: int | None = DEFAULT_PAIR_BOUND) -> Propert
     Commutativity makes the 2x1 side automatic by transposition, so one
     sweep decides both.
     """
-    _require_finite(ring, bound)
-    elems = ring._payloads
-    checked = 0
-    counter = None
-    for a in elems:
-        for b in elems:
-            checked += 1
-            if counter is not None:
-                continue
-            if not _hermite_pair_ok(ring, a, b):
-                counter = (("a", a), ("b", b))
-    return _report(ring, RingProperty.HERMITE, counter, checked)
+    return _sweep(ring, RingProperty.HERMITE, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -392,27 +357,43 @@ def is_diadem_direct(
 
 
 @_per_ring
+def _quotient_by(ring: Ring, w) -> Ring:
+    return quotient_ring(ring, RingElement(ring, w))
+
+
+@_per_ring
 def _quotient_has_stable_range_1(ring: Ring, w) -> bool:
-    quotient = quotient_ring(ring, RingElement(ring, w))
-    return check_stable_range_1(quotient, bound=None).holds
+    return check_stable_range_1(_quotient_by(ring, w), bound=None).holds
 
 
 def is_diadem_via_quotient(
-    ring: Ring, a: RingElement, b: RingElement, multiplier: RingElement
+    ring: Ring,
+    a: RingElement,
+    b: RingElement,
+    multiplier: RingElement,
+    bound: int | None = DEFAULT_PAIR_BOUND,
 ) -> bool:
     """Quotient criterion: a + b*t is a diadem iff ring/(a + b*t) has stable
     range 1.  This is the computable test over Z and GF(p)[x], where any
-    nonzero value leaves a finite quotient."""
+    nonzero value leaves a finite quotient.
+
+    The stable-range-1 sweep of the quotient is quadratic in its
+    cardinality, which must not exceed bound (None lifts the guard).
+    Verdicts are memoized per ring only on finite rings, whose size
+    bounds the memo.
+    """
     ring._check(a)
     ring._check(b)
     ring._check(multiplier)
     w = ring._add(a.payload, ring._mul(b.payload, multiplier.payload))
-    if not ring.finite:
-        if not isinstance(ring, (IntegerRing, PolynomialRing)):
-            raise UnsupportedRingError(f"no quotient criterion on {ring.spec()}")
-        if w == ring._zero():
-            raise InfiniteRingError("infinite quotient: a + b*t is 0")
-    return _quotient_has_stable_range_1(ring, w)
+    if ring.finite:
+        _require_finite(_quotient_by(ring, w), bound)
+        return _quotient_has_stable_range_1(ring, w)
+    if not isinstance(ring, (IntegerRing, PolynomialRing)):
+        raise UnsupportedRingError(f"no quotient criterion on {ring.spec()}")
+    if w == ring._zero():
+        raise InfiniteRingError("infinite quotient: a + b*t is 0")
+    return check_stable_range_1(quotient_ring(ring, RingElement(ring, w)), bound=bound).holds
 
 
 def find_diadem(ring: Ring, a: RingElement, b: RingElement) -> DiademWitness:
@@ -458,26 +439,34 @@ def find_diadem(ring: Ring, a: RingElement, b: RingElement) -> DiademWitness:
     raise ValueError("diadem search exhausted")  # unreachable: b = 0 forces a a unit
 
 
+def _dyadic_range_1_violation(ring: Ring, tuples):
+    elems = ring._payloads
+    for a, b in tuples:
+        if ring._ideal_has_one((a, b)) and not any(
+            _is_diadem_payload(ring, ring._add(a, ring._mul(b, t))) for t in elems
+        ):
+            return (("a", a), ("b", b))
+    return None
+
+
 def check_dyadic_range_1(
     ring: Ring, bound: int | None = DEFAULT_TRIPLE_BOUND
 ) -> PropertyReport:
     """Every comaximal pair has a diadem, decided by the direct definition."""
-    _require_finite(ring, bound)
+    return _sweep(ring, RingProperty.DYADIC_RANGE_1, bound)
+
+
+def _associate_diadems_violation(ring: Ring, tuples):
     elems = ring._payloads
-    checked = 0
-    counter = None
-    for a in elems:
-        for b in elems:
-            checked += 1
-            if counter is not None:
-                continue
-            if not ring._ideal_has_one((a, b)):
-                continue
-            if not any(
-                _is_diadem_payload(ring, ring._add(a, ring._mul(b, t))) for t in elems
-            ):
-                counter = (("a", a), ("b", b))
-    return _report(ring, RingProperty.DYADIC_RANGE_1, counter, checked)
+    for a, b in tuples:
+        if ring._principal(a) != ring._principal(b):
+            continue
+        if not (
+            any(ring._mul(a, d) == b and _is_diadem_payload(ring, d) for d in elems)
+            and any(ring._mul(b, d) == a and _is_diadem_payload(ring, d) for d in elems)
+        ):
+            return (("a", a), ("b", b))
+    return None
 
 
 def verify_associate_diadems(
@@ -488,27 +477,9 @@ def verify_associate_diadems(
     Any element d is realized as the diadem d + 1*0 of the comaximal pair
     (d, 1), so the search reduces to diadem elements.
     """
-    _require_finite(ring, bound)
-    dyadic = check_dyadic_range_1(ring, bound=bound)
-    if not dyadic.holds:
+    if not check_dyadic_range_1(ring, bound=bound).holds:
         raise ValueError(f"{ring.spec()} does not have dyadic range 1")
-    elems = ring._payloads
-    diadems = tuple(d for d in elems if _is_diadem_payload(ring, d))
-    checked = 0
-    counter = None
-    for a in elems:
-        aR = ring._principal(a)
-        for b in elems:
-            checked += 1
-            if counter is not None:
-                continue
-            if aR != ring._principal(b):
-                continue
-            d1 = next((d for d in diadems if ring._mul(a, d) == b), None)
-            d2 = next((d for d in diadems if ring._mul(b, d) == a), None)
-            if d1 is None or d2 is None:
-                counter = (("a", a), ("b", b))
-    return _report(ring, RingProperty.ASSOCIATE_DIADEMS, counter, checked)
+    return _sweep(ring, RingProperty.ASSOCIATE_DIADEMS, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -556,78 +527,38 @@ def radical_quotient(ring: Ring) -> Ring:
 
 
 def counterexample_is_genuine(report: PropertyReport) -> bool:
-    """Replay a negative report against the raw defining formula.
+    """Replay a negative report through the checker's own search.
 
-    True means the recorded tuple really violates the property; a
-    fabricated counterexample comes back False.
+    The property's search runs on the one recorded outer tuple; True means
+    it flags that tuple and reproduces the recorded counterexample, labels
+    included.  A fabricated counterexample, or one whose labels are not the
+    checker's own, comes back False; elements of another ring raise
+    RingMismatchError.
     """
     if report.holds or report.counterexample is None:
         raise ValueError("report carries no counterexample")
-    ring = report.ring
-    ce = {label: elem.payload for label, elem in report.counterexample}
-    elems = ring._payloads
-    units = ring._unit_set
-    one = ring._one()
-    zero = ring._zero()
-    prop = report.property
-    if prop == RingProperty.STABLE_RANGE_1:
-        a, b = ce["a"], ce["b"]
-        return ring._ideal_has_one((a, b)) and not any(
-            ring._add(a, ring._mul(b, t)) in units for t in elems
-        )
-    if prop == RingProperty.STABLE_RANGE_2:
-        a, b, c = ce["a"], ce["b"], ce["c"]
-        return ring._ideal_has_one((a, b, c)) and not any(
-            ring._ideal_has_one(
-                (ring._add(a, ring._mul(c, s)), ring._add(b, ring._mul(c, t)))
-            )
-            for s in elems
-            for t in elems
-        )
-    if prop == RingProperty.IDEMPOTENT_STABLE_RANGE_1:
-        a, b = ce["a"], ce["b"]
-        return ring._ideal_has_one((a, b)) and not any(
-            ring._add(a, ring._mul(b, e)) in units for e in ring._idempotents
-        )
-    if prop == RingProperty.CLEAN:
-        x = ce["x"]
-        return not any(ring._sub(x, e) in units for e in ring._idempotents)
-    if prop == RingProperty.EXCHANGE:
-        a, b = ce["a"], ce["b"]
-        aR, bR = ring._principal(a), ring._principal(b)
-        return ring._ideal_has_one((a, b)) and not any(
-            e in aR and ring._sub(one, e) in bR for e in ring._idempotents
-        )
-    if prop == RingProperty.GELFAND:
-        a, b = ce["a"], ce["b"]
-        if ring._add(a, b) != one:
-            return False
-        return not any(
-            ring._mul(
-                ring._add(one, ring._mul(a, x)), ring._add(one, ring._mul(b, y))
-            )
-            == zero
-            for x in elems
-            for y in elems
-        )
-    if prop == RingProperty.HERMITE:
-        return not _hermite_pair_ok(ring, ce["a"], ce["b"])
-    if prop == RingProperty.DYADIC_RANGE_1:
-        a, b = ce["a"], ce["b"]
-        return ring._ideal_has_one((a, b)) and not any(
-            _is_diadem_payload(ring, ring._add(a, ring._mul(b, t))) for t in elems
-        )
-    if prop == RingProperty.ASSOCIATE_DIADEMS:
-        a, b = ce["a"], ce["b"]
-        if ring._principal(a) != ring._principal(b):
-            return False
-        diadems = tuple(d for d in elems if _is_diadem_payload(ring, d))
-        return not (
-            any(ring._mul(a, d) == b for d in diadems)
-            and any(ring._mul(b, d) == a for d in diadems)
-        )
-    raise ValueError(f"unknown property {prop}")
+    for _, elem in report.counterexample:
+        report.ring._check(elem)
+    arity, search = _SEARCHES[report.property]
+    recorded = tuple((label, elem.payload) for label, elem in report.counterexample)
+    if len(recorded) < arity:
+        return False
+    outer = tuple(x for _, x in recorded[:arity])
+    return search(report.ring, (outer,)) == recorded
 
+
+# property -> (arity of the outer quantifier domain, search)
+_SEARCHES = {
+    RingProperty.STABLE_RANGE_1: (2, _stable_range_1_violation),
+    RingProperty.STABLE_RANGE_2: (3, _stable_range_2_violation),
+    RingProperty.IDEMPOTENT_STABLE_RANGE_1: (2, _idempotent_stable_range_1_violation),
+    RingProperty.CLEAN: (1, _clean_violation),
+    RingProperty.EXCHANGE: (2, _exchange_violation),
+    RingProperty.GELFAND: (1, _gelfand_violation),
+    RingProperty.HERMITE: (2, _hermite_violation),
+    RingProperty.DYADIC_RANGE_1: (2, _dyadic_range_1_violation),
+    RingProperty.ASSOCIATE_DIADEMS: (2, _associate_diadems_violation),
+}
 
 CHECKERS = {
     RingProperty.STABLE_RANGE_1: check_stable_range_1,
@@ -639,7 +570,3 @@ CHECKERS = {
     RingProperty.HERMITE: check_hermite,
     RingProperty.DYADIC_RANGE_1: check_dyadic_range_1,
 }
-
-TRIPLE_QUANTIFIER = frozenset(
-    {RingProperty.STABLE_RANGE_2, RingProperty.DYADIC_RANGE_1}
-)

@@ -9,6 +9,8 @@ from brute force over invertible 2x2 matrices.
 import math
 from itertools import combinations, product
 
+from edrkit.rings import Ring
+
 
 # -- integer determinantal divisors -----------------------------------------
 
@@ -195,6 +197,57 @@ def laplace_determinant(ring, grid):
         return acc
 
     return expand(tuple(range(n)))
+
+
+# -- a finite ring that is not a principal ideal ring ---------------------------
+
+
+class LocalNonPrincipalRing(Ring):
+    """GF(2)[x,y]/(x,y)^2: payload (c0, c1, c2) is c0 + c1*x + c2*y.
+
+    Eight elements, local with maximal ideal (x, y), which is not principal,
+    so the Hermite property fails here while every carrier in the package
+    satisfies it.
+    """
+
+    finite = True
+    cardinality = 8
+
+    def spec(self):
+        return "GF(2)[x,y]/(x,y)^2"
+
+    def _canonical(self, value):
+        return tuple(c % 2 for c in value)
+
+    def _zero(self):
+        return (0, 0, 0)
+
+    def _one(self):
+        return (1, 0, 0)
+
+    def _add(self, x, y):
+        return tuple((a + b) % 2 for a, b in zip(x, y))
+
+    def _neg(self, x):
+        return x
+
+    def _mul(self, x, y):
+        return (x[0] * y[0], (x[0] * y[1] + x[1] * y[0]) % 2, (x[0] * y[2] + x[2] * y[0]) % 2)
+
+    def _sort_key(self, x):
+        return x
+
+    def _format(self, x):
+        return "(%d,%d,%d)" % x
+
+    def _parse(self, text):
+        return self._canonical(int(c) for c in text.strip("()").split(","))
+
+    def _all_payloads(self):
+        return product((0, 1), repeat=3)
+
+    def _ideal_has_one(self, xs):
+        return any(x[0] for x in xs)  # local: comaximal iff some generator is a unit
 
 
 # -- misc ---------------------------------------------------------------------

@@ -95,6 +95,14 @@ def test_check_bound_guard():
     assert code == 0
 
 
+def test_check_all_stops_at_the_first_checker_over_its_default_bound(capsys):
+    # Z/20 is within the pair-quantifier default (50), not the triple one (16)
+    code, text = run_cli("check", "Z/20", "all")
+    assert code == 2
+    assert text == "# edr-kit v1\nproperty=stable-range-1 ring=Z/20 holds=true checked=400\n"
+    assert "above the bound 16" in capsys.readouterr().err
+
+
 # -- diadem -----------------------------------------------------------------
 
 

@@ -13,6 +13,7 @@ from edrkit import (
     IntegerModRing,
     IntegerRing,
     PropertyReport,
+    RingMismatchError,
     RingProperty,
     UnsupportedRingError,
     check_clean,
@@ -37,7 +38,7 @@ from edrkit import (
 )
 from edrkit.finite_lab import CHECKERS
 
-from oracles import brute_coprime_splitting, brute_hermite_pair
+from oracles import LocalNonPrincipalRing, brute_coprime_splitting, brute_hermite_pair
 
 Z = IntegerRing()
 R12 = IntegerModRing(12)
@@ -168,8 +169,8 @@ def test_report_line_format():
 
 
 def test_counterexample_replay_flags_fabricated_reports():
-    # all finite commutative rings satisfy the properties, so genuine
-    # counterexamples cannot arise; fabricated ones must replay as bogus
+    # every package carrier satisfies the properties, so these
+    # counterexamples are fabricated and must replay as bogus
     fake = PropertyReport(
         RingProperty.STABLE_RANGE_1,
         R12,
@@ -188,6 +189,63 @@ def test_counterexample_replay_flags_fabricated_reports():
     assert not counterexample_is_genuine(fake2)
     with pytest.raises(ValueError):
         counterexample_is_genuine(check_gelfand(R12, bound=None))
+
+
+def test_hermite_fails_on_a_non_principal_local_ring():
+    # in GF(2)[x,y]/(x,y)^2 the row (y x) generates the non-principal (x, y)
+    ring = LocalNonPrincipalRing()
+    report = check_hermite(ring, bound=None)
+    assert not report.holds
+    assert report.line() == (
+        "property=hermite ring=GF(2)[x,y]/(x,y)^2 holds=false "
+        "counterexample=[a=(0,0,1) b=(0,1,0)] checked=64"
+    )
+    assert counterexample_is_genuine(report)
+
+
+def test_other_properties_hold_on_a_non_principal_local_ring():
+    ring = LocalNonPrincipalRing()
+    for prop, checker in CHECKERS.items():
+        if prop is RingProperty.HERMITE:
+            continue
+        report = checker(ring, bound=None)
+        assert report.holds, report.line()
+        assert report.checked == EXPECTED_DOMAIN[prop](ring.cardinality)
+
+
+def test_hermite_replay_matches_brute_force_on_a_non_principal_local_ring():
+    ring = LocalNonPrincipalRing()
+    genuine = 0
+    for a in ring.elements():
+        for b in ring.elements():
+            fake = PropertyReport(RingProperty.HERMITE, ring, False, (("a", a), ("b", b)), 64)
+            verdict = counterexample_is_genuine(fake)
+            assert verdict == (not brute_hermite_pair(ring, a, b)), (a, b)
+            genuine += verdict
+    assert genuine == 6  # the ordered pairs of distinct nonzero elements of (x, y)
+
+
+def test_mislabeled_counterexample_is_not_genuine():
+    report = check_hermite(LocalNonPrincipalRing(), bound=None)
+    (_, a), (_, b) = report.counterexample
+    for labels in ((("b", a), ("a", b)), (("x", a), ("y", b)), (("a", a),)):
+        fake = PropertyReport(RingProperty.HERMITE, report.ring, False, labels, 64)
+        assert not counterexample_is_genuine(fake)
+
+
+def test_replay_rejects_elements_of_another_ring():
+    foreign = (("a", R12.element(7)), ("b", R12.element(9)))
+    fake = PropertyReport(RingProperty.EXCHANGE, IntegerModRing(5), False, foreign, 25)
+    with pytest.raises(RingMismatchError):
+        counterexample_is_genuine(fake)
+
+
+@pytest.mark.parametrize("prop", list(RingProperty), ids=lambda p: p.value)
+def test_every_property_has_a_replay(prop):
+    fake = PropertyReport(
+        prop, R12, False, tuple((label, R12.element(0)) for label in "abc"), 0
+    )
+    assert counterexample_is_genuine(fake) is False
 
 
 # -- diadems ----------------------------------------------------------------------
@@ -221,6 +279,20 @@ def test_is_diadem_via_quotient_examples():
     assert is_diadem_via_quotient(Z, Z.element(4), Z.element(1), Z.element(-3))
     with pytest.raises(InfiniteRingError, match="infinite quotient"):
         is_diadem_via_quotient(Z, Z.element(10), Z.element(5), Z.element(-2))
+
+
+def test_is_diadem_via_quotient_bound_guard():
+    args = (Z.element(101), Z.element(1), Z.element(0))
+    with pytest.raises(CardinalityBoundError, match="above the bound 50"):
+        is_diadem_via_quotient(Z, *args)
+    assert is_diadem_via_quotient(Z, *args, bound=None)
+
+
+def test_is_diadem_via_quotient_memo_stays_empty_on_integers():
+    ring = IntegerRing()
+    for w in [w for w in range(-50, 51) if w]:  # 100 distinct w within the bound
+        assert is_diadem_via_quotient(ring, ring.element(w), ring.element(1), ring.element(0))
+    assert ring._memo == {}
 
 
 def test_quotient_criterion_matches_direct_definition():
