@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .rings import (
+    EuclideanRing,
     InfiniteRingError,
-    IntegerRing,
-    PolynomialRing,
     Ring,
     RingElement,
     UnsupportedRingError,
@@ -130,7 +129,7 @@ def is_comaximal(ring: Ring, elems: Sequence[RingElement]) -> bool:
     """
     for e in elems:
         ring._check(e)
-    if not (ring.finite or isinstance(ring, (IntegerRing, PolynomialRing))):
+    if not (ring.finite or isinstance(ring, EuclideanRing)):
         raise UnsupportedRingError(f"comaximality is not decidable on {ring.spec()}")
     return ring._ideal_has_one(tuple(e.payload for e in elems))
 
@@ -389,7 +388,7 @@ def is_diadem_via_quotient(
     if ring.finite:
         _require_finite(_quotient_by(ring, w), bound)
         return _quotient_has_stable_range_1(ring, w)
-    if not isinstance(ring, (IntegerRing, PolynomialRing)):
+    if not isinstance(ring, EuclideanRing):
         raise UnsupportedRingError(f"no quotient criterion on {ring.spec()}")
     if w == ring._zero():
         raise InfiniteRingError("infinite quotient: a + b*t is 0")
@@ -424,7 +423,7 @@ def find_diadem(ring: Ring, a: RingElement, b: RingElement) -> DiademWitness:
                 a, b, RingElement(ring, t), RingElement(ring, w), evidence
             )
         raise ValueError("diadem search exhausted")  # unreachable: finite commutative
-    if not isinstance(ring, (IntegerRing, PolynomialRing)):
+    if not isinstance(ring, EuclideanRing):
         raise UnsupportedRingError(f"diadem search is not available on {ring.spec()}")
     for t in ring._enumerate_payloads():
         w = ring._add(a.payload, ring._mul(b.payload, t))

@@ -20,12 +20,11 @@ from dataclasses import dataclass
 from .finite_lab import check_gelfand, find_diadem, is_comaximal
 from .matrices import Matrix, ReductionCertificate, from_payload_grid
 from .rings import (
+    EuclideanRing,
     IntegerRing,
-    PolynomialRing,
     Ring,
     RingElement,
     UnsupportedRingError,
-    _poly_divmod,
     bezout_gcd,
     quotient_ring,
 )
@@ -43,7 +42,7 @@ class SR2Witness:
 
 
 def _require_bezout_domain(ring: Ring) -> None:
-    if not isinstance(ring, (IntegerRing, PolynomialRing)):
+    if not isinstance(ring, EuclideanRing):
         raise UnsupportedRingError(
             f"producer requires a Bezout domain (Z or GF(p)[x]), not {ring.spec()}"
         )
@@ -92,13 +91,8 @@ def hermite_reduce_2x1(
     ring: Ring, a: RingElement, b: RingElement
 ) -> tuple[Matrix, RingElement]:
     """P and g with P * (a b)^T = (g, 0)^T; the transpose-side Hermite step."""
-    _require_bezout_domain(ring)
-    ring._check(a)
-    ring._check(b)
-    blocks, g = _hermite_blocks(ring, a.payload, b.payload)
-    blocks = _transposed(blocks)
-    p = from_payload_grid(ring, [list(blocks[0]), list(blocks[1])])
-    return p, RingElement(ring, g)
+    q, g = hermite_reduce_1x2(ring, a, b)
+    return q.transpose(), g
 
 
 # ---------------------------------------------------------------------------
@@ -203,23 +197,6 @@ def _transpose_grid(grid, width: int):
     return [[row[j] for row in grid] for j in range(width)]
 
 
-def _unit_inverse(ring: Ring, u):
-    """Inverse of a unit payload in Z or GF(p)[x]."""
-    if isinstance(ring, IntegerRing):
-        return u
-    inv = pow(u[0], -1, ring.p)
-    return (inv,)
-
-
-def _normalizer(ring: Ring, d):
-    """Unit payload that scales d to canonical form (>= 0, or monic), or None."""
-    if isinstance(ring, IntegerRing):
-        return -1 if d < 0 else None
-    if d and d[-1] != 1:
-        return _unit_inverse(ring, (d[-1],))
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Diadem step and the 2x2 comaximal core
 # ---------------------------------------------------------------------------
@@ -277,7 +254,7 @@ def reduce_2x2_comaximal(ring: Ring, source: Matrix) -> ReductionCertificate:
     if ring._is_unit(a):
         # Degenerate input: scale the corner to 1 and shear b away.
         if a != one:
-            work.scale_row(0, _unit_inverse(ring, a))
+            work.scale_row(0, ring._unit_inverse(a))
         if b != zero:
             work.add_row(1, 0, ring._neg(work.a[1][0]))
     elif a == zero:
@@ -312,11 +289,11 @@ def reduce_2x2_comaximal(ring: Ring, source: Matrix) -> ReductionCertificate:
     # corner is now the unit g (exactly 1 after normalization); clear the rest
     corner = work.a[0][0]
     if corner != one:
-        work.scale_row(0, _unit_inverse(ring, corner))
+        work.scale_row(0, ring._unit_inverse(corner))
     beta = work.a[0][1]
     if beta != zero:
         work.col_block(0, 1, ((one, ring._neg(beta)), (zero, one)))
-    norm = _normalizer(ring, work.a[1][1])
+    norm = ring._normalizer(work.a[1][1])
     if norm is not None:
         work.scale_row(1, norm)
     return work.certificate()
@@ -325,13 +302,6 @@ def reduce_2x2_comaximal(ring: Ring, source: Matrix) -> ReductionCertificate:
 # ---------------------------------------------------------------------------
 # Full Smith normal form
 # ---------------------------------------------------------------------------
-
-
-def _floor_quotient(ring: Ring, x, d):
-    """q with x - q*d reduced modulo the nonzero d (|.| < |d|, or lower degree)."""
-    if isinstance(ring, IntegerRing):
-        return x // d
-    return _poly_divmod(x, d, ring.p)[0]
 
 
 def _size_reduce(work: _Tracked, start: int, k: int) -> None:
@@ -351,7 +321,7 @@ def _size_reduce(work: _Tracked, start: int, k: int) -> None:
             x = a[r][c]
             if x == zero:
                 continue
-            f = _floor_quotient(ring, x, d)
+            f = ring._divmod(x, d)[0]
             if f != zero:
                 work.add_col(c, r, ring._neg(f))
 
@@ -464,7 +434,7 @@ def smith_normal_form(ring: Ring, source: Matrix) -> ReductionCertificate:
         for j in range(i + 1, rank):
             _merge_diagonal_pair(work, i, j)
     for i in range(rank):
-        norm = _normalizer(ring, work.a[i][i])
+        norm = ring._normalizer(work.a[i][i])
         if norm is not None:
             work.scale_row(i, norm)
     return work.certificate()
@@ -507,7 +477,7 @@ def stable_range_2_witness(
         modulus = x * s + w
         if modulus == zero:
             # gcd(s, x*s + w) = gcd(s, w) = 1 forces s to be a unit here
-            u = rhs * RingElement(ring, _unit_inverse(ring, s.payload))
+            u = rhs * RingElement(ring, ring._unit_inverse(s.payload))
             h = zero
         else:
             inv_cert = bezout_gcd(ring, s, modulus)
@@ -523,10 +493,13 @@ def stable_range_2_witness(
 
 
 def _reduce_mod(ring: Ring, value: RingElement, modulus: RingElement) -> RingElement:
-    """Canonical residue of value modulo a nonzero modulus (keeps entries small)."""
-    if isinstance(ring, IntegerRing):
-        return ring.element(value.payload % abs(modulus.payload))
-    return ring.element(_poly_divmod(value.payload, modulus.payload, ring.p)[1])
+    """Canonical residue of value modulo a nonzero modulus (keeps entries small):
+    the remainder by the canonical associate, so nonnegative over Z."""
+    m = modulus.payload
+    norm = ring._normalizer(m)
+    if norm is not None:
+        m = ring._mul(norm, m)
+    return RingElement(ring, ring._divmod(value.payload, m)[1])
 
 
 def gelfand_range_1_witness(a: int, b: int) -> int:

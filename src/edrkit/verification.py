@@ -11,7 +11,12 @@ polynomial in the matrix size and exact over their rings.
 from __future__ import annotations
 
 from .matrices import Matrix, ReductionCertificate
-from .rings import IntegerRing, PolynomialRing, Ring
+from .rings import (
+    EuclideanRing,
+    IntegerRing,
+    PolynomialRing,
+    Ring,
+)
 
 
 class CertificateShapeError(ValueError):
@@ -85,7 +90,7 @@ def _berkowitz_determinant(ring: Ring, grid: list[list]):
 def _determinant(ring: Ring, grid: list[list]):
     """Polynomial-time exact determinant: Bareiss on the integral domains Z and
     GF(p)[x], Berkowitz on the finite carriers, which have zero divisors."""
-    if isinstance(ring, (IntegerRing, PolynomialRing)):
+    if isinstance(ring, EuclideanRing):
         return _bareiss_determinant(ring, grid)
     return _berkowitz_determinant(ring, grid)
 

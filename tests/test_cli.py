@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from edrkit import IntegerRing, Matrix, parse_certificate
 from edrkit.cli import main
+
+Z = IntegerRing()
 
 
 def run_cli(*argv):
@@ -180,6 +183,18 @@ def test_verify_round_trip(matrix_file, tmp_path):
     code, text = run_cli("verify", "Z", matrix_file, str(cert_path))
     assert code == 0
     assert text.endswith("valid\n")
+
+
+def test_snf_and_verify_past_the_int_str_digit_limit(tmp_path, default_int_str_limit):
+    # D = diag(1, ab) has 4401 digits, past CPython's default conversion limit
+    a, b = 10**2200 + 1, 10**2200 + 3
+    matrix = tmp_path / "big.txt"
+    matrix.write_text(f"2 2\n{a} 0\n0 {b}\n", encoding="utf-8")
+    cert = tmp_path / "cert.txt"
+    assert run_cli("snf", "Z", str(matrix), "--output", str(cert)) == (0, "")
+    expected = Matrix.from_rows(Z, [[1, 0], [0, a * b]])
+    assert parse_certificate(Z, cert.read_text(encoding="utf-8")).D == expected
+    assert run_cli("verify", "Z", str(matrix), str(cert)) == (0, "# edr-kit v1\nvalid\n")
 
 
 def test_verify_reordered_diagonal_fails_chain(matrix_file, tmp_path):

@@ -607,6 +607,14 @@ def test_sr2_witness_residue_check_raises(monkeypatch):
         stable_range_2_witness(Z, Z.element(5), Z.element(7), Z.element(11))
 
 
+def test_reduce_mod_is_nonnegative_for_a_negative_integer_modulus():
+    import edrkit.reduction as reduction
+
+    for value, modulus, residue in [(7, -5, 2), (-7, -5, 3), (-7, 5, 3), (10, -5, 0)]:
+        got = reduction._reduce_mod(Z, Z.element(value), Z.element(modulus))
+        assert got == Z.element(residue)
+
+
 def test_sr2_witness_rejects_non_comaximal():
     with pytest.raises(ValueError, match="not comaximal"):
         stable_range_2_witness(Z, Z.element(2), Z.element(4), Z.element(6))

@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from edrkit import (
+    EuclideanRing,
     InfiniteRingError,
     IntegerModRing,
     IntegerRing,
@@ -20,7 +23,7 @@ from edrkit import (
     ring_parse,
 )
 
-from oracles import p_mul, squarefree_kernel
+from oracles import p_divmod, p_gcd, p_mul, squarefree_kernel
 
 Z = IntegerRing()
 
@@ -85,6 +88,17 @@ def test_element_parse_canonicalizes():
     assert r.parse_element("-5").payload == 7
     g = PolynomialRing(5)
     assert g.parse_element("-1,6").payload == (4, 1)
+
+
+def test_integer_literals_past_the_int_str_digit_limit(default_int_str_limit):
+    value = -(10**4999 + 123456789)  # 5000 digits
+    text = Z.format_element(Z.element(value))
+    assert len(text) == 5001 and text.startswith("-1000") and text.endswith("0123456789")
+    assert Z.parse_element(text).payload == value
+    assert Z.parse_element(" +1" + "_0" * 5000 + " ").payload == 10**5000
+    for bad in ("1" * 5000 + "x", "1" * 5000 + "_", "-" + "1__0" * 1250, "1" * 5000 + ".0"):
+        with pytest.raises(RingParseError, match="invalid integer literal"):
+            Z.parse_element(bad)
 
 
 # -- arithmetic ---------------------------------------------------------------
@@ -225,6 +239,96 @@ def test_bezout_on_finite_rings_by_enumeration(ring):
         assert {(cert.g * r).payload for r in elems} == span
 
 
+# -- the Euclidean interface -------------------------------------------------------
+
+
+EUCLIDEAN = {"Z": Z, **{f"GF({p})[x]": PolynomialRing(p) for p in (2, 3, 5)}}
+
+
+def _euclidean_payloads(ring):
+    if isinstance(ring, IntegerRing):
+        return st.integers(-(10**30), 10**30)
+    return st.lists(st.integers(0, ring.p - 1), max_size=7).map(ring._canonical)
+
+
+def _oracle_remainder(ring, y, x):
+    """y mod the nonzero x, computed without the ring's own division."""
+    if isinstance(ring, IntegerRing):
+        return y % x
+    return p_divmod(y, x, ring.p)[1]
+
+
+def _is_canonical(ring, x):
+    if isinstance(ring, IntegerRing):
+        return x >= 0
+    return not x or x[-1] == 1
+
+
+def _euclidean_property(check):
+    """Run check(ring, x, y) on derandomized payload pairs of every Euclidean ring."""
+
+    @pytest.mark.parametrize("name", list(EUCLIDEAN))
+    def test(name):
+        ring = EUCLIDEAN[name]
+        payloads = _euclidean_payloads(ring)
+
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(payloads, payloads)
+        def run(x, y):
+            check(ring, x, y)
+
+        run()
+
+    return test
+
+
+@_euclidean_property
+def test_divmod_leaves_a_reduced_remainder(ring, x, d):
+    assume(d != ring._zero())
+    q, r = ring._divmod(x, d)
+    assert ring._add(ring._mul(q, d), r) == x
+    assert r == _oracle_remainder(ring, x, d)
+    if isinstance(ring, IntegerRing):
+        assert abs(r) < abs(d) and r * d >= 0  # floor division
+    else:
+        assert len(r) < len(d)
+
+
+@_euclidean_property
+def test_ext_gcd_is_a_canonical_bezout_combination(ring, x, y):
+    g, u, v = ring._ext_gcd(x, y)
+    assert ring._add(ring._mul(x, u), ring._mul(y, v)) == g
+    assert _is_canonical(ring, g)
+    if isinstance(ring, IntegerRing):
+        assert g == math.gcd(x, y)
+        # the int-native loop is the generic one on native operations
+        assert EuclideanRing._ext_gcd(ring, x, y) == (g, u, v)
+    else:
+        assert g == p_gcd(x, y, ring.p)
+
+
+@_euclidean_property
+def test_divides_agrees_with_the_product(ring, x, y):
+    zero = ring._zero()
+    q = ring._divides(x, y)
+    if x == zero:
+        assert q == (zero if y == zero else None)
+    else:
+        assert (q is not None) == (_oracle_remainder(ring, y, x) == zero)
+        assert ring._divides(x, ring._mul(x, y)) == y  # the quotient is unique
+    if q is not None:
+        assert ring._mul(q, x) == y
+
+
+@_euclidean_property
+def test_normalizer_scales_to_the_canonical_associate(ring, x, _):
+    norm = ring._normalizer(x)
+    assert (norm is None) == _is_canonical(ring, x)
+    if norm is not None:
+        assert ring._mul(norm, ring._unit_inverse(norm)) == ring._one()
+        assert _is_canonical(ring, ring._mul(norm, x))
+
+
 def test_bezout_gcd_is_a_greatest_common_divisor():
     rng = random.Random(8)
     for _ in range(200):
@@ -246,6 +350,12 @@ def test_quotient_examples():
     r = IntegerModRing(12)
     q = quotient_ring(r, r.element(4))
     assert q.cardinality == 4
+
+
+def test_coset_quotient_shares_the_base_rings_principal_ideal():
+    r = IntegerModRing(12)
+    q = QuotientRing(r, r.element(4))
+    assert q._ideal is r._principal(4) is r._memo[4]
 
 
 def test_quotient_of_z_by_zero_is_z():
@@ -286,6 +396,7 @@ def test_quotient_of_polynomial_ring():
     g = PolynomialRing(2)
     q = quotient_ring(g, g.element([1, 1, 1]))
     assert isinstance(q, PolynomialQuotientRing) and q.cardinality == 4
+    assert set(q._payloads) == {(), (1,), (0, 1), (1, 1)}
     assert quotient_ring(g, g.element([1])).is_zero_ring
     assert quotient_ring(g, g.element([])) == g
 
