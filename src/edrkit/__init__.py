@@ -3,6 +3,7 @@ exhaustive ring-property decision procedures on finite commutative rings."""
 
 from .rings import (
     BezoutCertificate,
+    EuclideanQuotientRing,
     EuclideanRing,
     InfiniteRingError,
     IntegerModRing,

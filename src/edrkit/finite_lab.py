@@ -24,6 +24,7 @@ from .rings import (
     Ring,
     RingElement,
     UnsupportedRingError,
+    _format_int,
     ideal_span,
     quotient_ring,
     jacobson_radical,
@@ -154,9 +155,8 @@ def _require_finite(ring: Ring, bound: int | None) -> None:
     if not ring.finite:
         raise InfiniteRingError(f"exhaustive check needs a finite ring, not {ring.spec()}")
     if bound is not None and ring.cardinality > bound:
-        raise CardinalityBoundError(
-            f"{ring.spec()} has cardinality {ring.cardinality}, above the bound {bound}"
-        )
+        size = _format_int(ring.cardinality)
+        raise CardinalityBoundError(f"{ring.spec()} has cardinality {size}, above the bound {bound}")
 
 
 def _sweep(ring: Ring, prop: RingProperty, bound: int | None) -> PropertyReport:

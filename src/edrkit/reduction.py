@@ -494,12 +494,8 @@ def stable_range_2_witness(
 
 def _reduce_mod(ring: Ring, value: RingElement, modulus: RingElement) -> RingElement:
     """Canonical residue of value modulo a nonzero modulus (keeps entries small):
-    the remainder by the canonical associate, so nonnegative over Z."""
-    m = modulus.payload
-    norm = ring._normalizer(m)
-    if norm is not None:
-        m = ring._mul(norm, m)
-    return RingElement(ring, ring._divmod(value.payload, m)[1])
+    its representative in ring/(modulus), so nonnegative over Z."""
+    return RingElement(ring, quotient_ring(ring, modulus)._reduce(value.payload))
 
 
 def gelfand_range_1_witness(a: int, b: int) -> int:

@@ -8,6 +8,9 @@ Z and GF(p)[x] subclass EuclideanRing, which supplies division with
 remainder, the extended gcd, unit inverses and canonical associates
 (nonnegative, or monic); the rest of the package reduces matrices and
 certifies gcds through it, never through either carrier's payload format.
+Z/n and GF(p)[x]/(f) subclass EuclideanQuotientRing, which derives units,
+divisibility and gcd certificates from the base ring's extended gcd, so
+none of them enumerates the ring.
 
 Elements are immutable and kept in canonical form, so structural equality
 coincides with ring equality.  All operations are pure; rings and elements
@@ -140,9 +143,8 @@ class Ring(ABC):
         """Whether the ideal generated by the payloads is the whole ring."""
 
     def _is_unit(self, x: Any) -> bool:
-        if not self.finite:
-            raise InfiniteRingError(f"unit test needs an override on {self.spec()}")
-        return x in self._unit_set
+        """This default searches a finite ring for an inverse."""
+        return self._divides(x, self._one()) is not None
 
     # -- finite enumeration (cached) -----------------------------------
 
@@ -157,16 +159,8 @@ class Ring(ABC):
 
     @cached_property
     def _unit_set(self) -> frozenset:
-        """Units found by exhaustive inverse search."""
-        elems = self._payloads
-        units = set()
-        one = self._one()
-        for x in elems:
-            for y in elems:
-                if self._mul(x, y) == one:
-                    units.add(x)
-                    break
-        return frozenset(units)
+        """The units of a finite ring, each tested by _is_unit."""
+        return frozenset(x for x in self._payloads if self._is_unit(x))
 
     @cached_property
     def _idempotents(self) -> tuple:
@@ -251,6 +245,31 @@ class Ring(ABC):
                 return q
         return None
 
+    def _bezout(self, x: Any, y: Any) -> tuple:
+        """Payloads (g, u, v, a1, b1) of bezout_gcd; this default enumerates a
+        finite ring for the first generator g of xR + yR in canonical order,
+        the first pair (u, v) reaching it and the least quotients a1, b1."""
+        if not self.finite:
+            raise UnsupportedRingError(
+                f"bezout_gcd needs Z, GF(p)[x], or a finite ring, not {self.spec()}"
+            )
+        reach: dict = {}
+        for u in self._payloads:
+            for v in self._payloads:
+                reach.setdefault(self._add(self._mul(x, u), self._mul(y, v)), (u, v))
+        span = frozenset(reach)
+        g = next((c for c in self._payloads if self._principal(c) == span), None)
+        if g is None:
+            raise UnsupportedRingError(
+                f"aR + bR is not principal in {self.spec()}; cannot certify a gcd"
+            )
+        u, v = reach[g]
+        return g, u, v, self._divides(g, x), self._divides(g, y)
+
+    def _quotient(self, x: Any) -> "Ring":
+        """The ring R/(x); this default enumerates the cosets of a finite ring."""
+        return QuotientRing(self, RingElement(self, x))
+
     def elements(self) -> Iterator[RingElement]:
         """All elements in canonical order (finite rings only)."""
         return (RingElement(self, x) for x in self._payloads)
@@ -296,6 +315,10 @@ class EuclideanRing(Ring):
     def _normalizer(self, x: Any) -> Any | None:
         """The unit that scales x to its canonical associate, or None when x is one."""
 
+    @abstractmethod
+    def _first_associate(self, x: Any) -> Any:
+        """The associate of x that comes first in canonical order."""
+
     def _ext_gcd(self, x: Any, y: Any) -> tuple[Any, Any, Any]:
         """(g, u, v) with x*u + y*v = g and g canonical (zero when x = y = 0)."""
         zero = self._zero()
@@ -318,6 +341,19 @@ class EuclideanRing(Ring):
             return zero if y == zero else None
         q, r = self._divmod(y, x)
         return q if r == zero else None
+
+    def _bezout(self, x, y):
+        zero = self._zero()
+        if x == zero and y == zero:
+            return (zero,) * 5
+        g, u, v = self._ext_gcd(x, y)
+        return g, u, v, self._divmod(x, g)[0], self._divmod(y, g)[0]
+
+    def _ideal_has_one(self, xs):
+        g = self._zero()
+        for x in xs:
+            g = self._ext_gcd(g, x)[0]
+        return self._is_unit(g)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +395,7 @@ class IntegerRing(EuclideanRing):
         return (abs(x), 0 if x >= 0 else 1)
 
     def _format(self, x):
-        try:
-            return str(x)
-        except ValueError:
-            # past the interpreter's int/str digit limit, which decimal ignores
-            return str(decimal.Decimal(x))
+        return _format_int(x)
 
     def _parse(self, text):
         return _parse_int(text)
@@ -379,6 +411,12 @@ class IntegerRing(EuclideanRing):
 
     def _normalizer(self, x):
         return -1 if x < 0 else None
+
+    def _first_associate(self, x):
+        return abs(x)
+
+    def _quotient(self, m):
+        return IntegerModRing(abs(m)) if m else self
 
     def _ext_gcd(self, x, y):
         # EuclideanRing's loop on native ints: 2-3x faster on 200-bit operands
@@ -407,104 +445,65 @@ class IntegerRing(EuclideanRing):
 # int()'s base-10 literal grammar, after stripping surrounding whitespace
 _INT_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
 
+# error messages quote at most this many characters of a rejected literal
+_ECHO_LIMIT = 40
+
+
+def _excerpt(text: str) -> str:
+    """The literal quoted for an error message, cut to a fixed prefix when long."""
+    if len(text) <= _ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
+
 
 def _parse_int(text: str) -> int:
+    """The one integer-literal parser: int()'s base-10 grammar at any length."""
     text = text.strip()
     try:
         return int(text, 10)
     except ValueError:
         if not _INT_LITERAL.fullmatch(text):
-            raise RingParseError(f"invalid integer literal {text!r}") from None
+            raise RingParseError(f"invalid integer literal {_excerpt(text)}") from None
     # a valid literal past the interpreter's int/str digit limit
     return int(decimal.Decimal(text))
 
 
-# ---------------------------------------------------------------------------
-# Z/n
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IntegerModRing(Ring):
-    """Residues modulo n, with canonical representatives in [0, n).
-
-    n = 1 gives the one-element zero ring; it only ever arises as a
-    quotient by a unit and is flagged via is_zero_ring.
-    """
-
-    n: int
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"modulus must be a positive integer, got {self.n!r}")
-
-    @property
-    def finite(self) -> bool:
-        return True
-
-    @property
-    def cardinality(self) -> int:
-        return self.n
-
-    def spec(self) -> str:
-        return f"Z/{self.n}"
-
-    def _canonical(self, value):
-        if isinstance(value, RingElement):
-            self._check(value)
-            return value.payload
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"integer payload expected, got {value!r}")
-        return value % self.n
-
-    def _zero(self):
-        return 0
-
-    def _one(self):
-        return 1 % self.n
-
-    def _add(self, x, y):
-        return (x + y) % self.n
-
-    def _neg(self, x):
-        return -x % self.n
-
-    def _mul(self, x, y):
-        return (x * y) % self.n
-
-    def _sort_key(self, x):
-        return x
-
-    def _format(self, x):
+def _format_int(x: int) -> str:
+    try:
         return str(x)
-
-    def _parse(self, text):
-        return _parse_int(text) % self.n
-
-    def _all_payloads(self):
-        return range(self.n)
-
-    def _ideal_has_one(self, xs):
-        return math.gcd(self.n, *xs) == 1
+    except ValueError:
+        # past the interpreter's int/str digit limit, which decimal ignores
+        return str(decimal.Decimal(x))
 
 
 # ---------------------------------------------------------------------------
 # Polynomials over GF(p): payloads are trimmed low-to-high coefficient tuples
 # ---------------------------------------------------------------------------
 
+# Miller-Rabin with the first 13 primes as bases is exact below psi_13, the
+# least strong pseudoprime to all of them (Sorenson & Webster, Math. Comp.
+# 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_LIMIT = 3317044064679887385961981
+
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError at or above 3.3e24, where the
+    base set no longer decides primality."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _PRIME_TEST_LIMIT:
+        raise ValueError(f"primality is decided only below {_PRIME_TEST_LIMIT}")
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(s)):
             return False
-        d += 2
     return True
 
 
@@ -513,58 +512,6 @@ def _poly_trim(coeffs) -> tuple:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
-
-
-def _poly_add(f, g, p):
-    n = max(len(f), len(g))
-    return _poly_trim(
-        ((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % p
-        for i in range(n)
-    )
-
-
-def _poly_neg(f, p):
-    return tuple(-c % p for c in f)
-
-
-def _poly_mul(f, g, p):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _poly_trim(out)
-
-
-def _poly_divmod(f, g, p):
-    """Quotient and remainder of f by nonzero g over GF(p)."""
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f)
-    if len(f) < len(g):
-        return (), tuple(f)
-    inv_lead = pow(g[-1], -1, p)
-    quot = [0] * (len(f) - len(g) + 1)
-    for k in range(len(quot) - 1, -1, -1):
-        coef = (rem[k + len(g) - 1] * inv_lead) % p
-        quot[k] = coef
-        if coef:
-            for j, b in enumerate(g):
-                rem[k + j] = (rem[k + j] - coef * b) % p
-    return _poly_trim(quot), _poly_trim(rem)
-
-
-def _poly_monic(f, p):
-    """Monic associate of f and the leading coefficient that was divided out."""
-    if not f:
-        return (), 1
-    lc = f[-1]
-    if lc == 1:
-        return tuple(f), 1
-    inv = pow(lc, -1, p)
-    return tuple(c * inv % p for c in f), lc
 
 
 def _poly_payloads(p: int) -> Iterator[tuple]:
@@ -576,66 +523,21 @@ def _poly_payloads(p: int) -> Iterator[tuple]:
                 yield low + (lead,)
 
 
-def _poly_gcd(f, g, p):
-    a, b = tuple(f), tuple(g)
-    while b:
-        _, r = _poly_divmod(a, b, p)
-        a, b = b, r
-    return _poly_monic(a, p)[0]
-
-
-def _poly_key(x):
-    return (len(x), x)
-
-
 def _parse_poly(text: str, p: int) -> tuple:
-    parts = text.strip().split(",")
     coeffs = []
-    for part in parts:
+    for part in text.strip().split(","):
         part = part.strip()
         if not part:
-            raise RingParseError(f"empty coefficient in {text!r}")
+            raise RingParseError(f"empty coefficient in {_excerpt(text)}")
         try:
-            coeffs.append(int(part, 10) % p)
-        except ValueError:
-            raise RingParseError(f"invalid coefficient {part!r}") from None
+            coeffs.append(_parse_int(part) % p)
+        except RingParseError:
+            raise RingParseError(f"invalid coefficient {_excerpt(part)}") from None
     return _poly_trim(coeffs)
 
 
-def _format_poly(x: tuple) -> str:
-    return ",".join(str(c) for c in x) if x else "0"
-
-
-class _PolynomialPayloads:
-    """Shared payload arithmetic for GF(p)[x] and its quotients."""
-
-    p: int
-
-    def _coerce_poly(self, value):
-        if isinstance(value, RingElement):
-            self._check(value)  # type: ignore[attr-defined]
-            return value.payload
-        if isinstance(value, int) and not isinstance(value, bool):
-            return _poly_trim((value % self.p,))
-        if isinstance(value, (tuple, list)):
-            return _poly_trim(c % self.p for c in value)
-        raise TypeError(f"polynomial payload expected, got {value!r}")
-
-    def _zero(self):
-        return ()
-
-    def _one(self):
-        return (1,) if self.p > 1 else ()
-
-    def _sort_key(self, x):
-        return _poly_key(x)
-
-    def _format(self, x):
-        return _format_poly(x)
-
-
 @dataclass(frozen=True)
-class PolynomialRing(_PolynomialPayloads, EuclideanRing):
+class PolynomialRing(EuclideanRing):
     """GF(p)[x], a Euclidean (hence Bezout) domain."""
 
     p: int
@@ -648,16 +550,46 @@ class PolynomialRing(_PolynomialPayloads, EuclideanRing):
         return f"GF({self.p})[x]"
 
     def _canonical(self, value):
-        return self._coerce_poly(value)
+        if isinstance(value, RingElement):
+            self._check(value)
+            return value.payload
+        if isinstance(value, int) and not isinstance(value, bool):
+            return _poly_trim((value % self.p,))
+        if isinstance(value, (tuple, list)):
+            return _poly_trim(c % self.p for c in value)
+        raise TypeError(f"polynomial payload expected, got {value!r}")
+
+    def _zero(self):
+        return ()
+
+    def _one(self):
+        return (1,)
 
     def _add(self, x, y):
-        return _poly_add(x, y, self.p)
+        p, n = self.p, max(len(x), len(y))
+        return _poly_trim(
+            ((x[i] if i < len(x) else 0) + (y[i] if i < len(y) else 0)) % p
+            for i in range(n)
+        )
 
     def _neg(self, x):
-        return _poly_neg(x, self.p)
+        return tuple(-c % self.p for c in x)
 
     def _mul(self, x, y):
-        return _poly_mul(x, y, self.p)
+        if not x or not y:
+            return ()
+        p, out = self.p, [0] * (len(x) + len(y) - 1)
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y):
+                    out[i + j] = (out[i + j] + a * b) % p
+        return _poly_trim(out)
+
+    def _sort_key(self, x):
+        return (len(x), x)
+
+    def _format(self, x):
+        return ",".join(str(c) for c in x) if x else "0"
 
     def _parse(self, text):
         return _parse_poly(text, self.p)
@@ -666,7 +598,20 @@ class PolynomialRing(_PolynomialPayloads, EuclideanRing):
         return len(x) == 1
 
     def _divmod(self, x, d):
-        return _poly_divmod(x, d, self.p)
+        if not d:
+            raise ZeroDivisionError("polynomial division by zero")
+        if len(x) < len(d):
+            return (), x
+        p, rem = self.p, list(x)
+        inv_lead = pow(d[-1], -1, p)
+        quot = [0] * (len(x) - len(d) + 1)
+        for k in range(len(quot) - 1, -1, -1):
+            coef = (rem[k + len(d) - 1] * inv_lead) % p
+            quot[k] = coef
+            if coef:
+                for j, b in enumerate(d):
+                    rem[k + j] = (rem[k + j] - coef * b) % p
+        return _poly_trim(quot), _poly_trim(rem)
 
     def _unit_inverse(self, u):
         return (pow(u[0], -1, self.p),)
@@ -674,75 +619,159 @@ class PolynomialRing(_PolynomialPayloads, EuclideanRing):
     def _normalizer(self, x):
         return self._unit_inverse((x[-1],)) if x and x[-1] != 1 else None
 
-    def _ideal_has_one(self, xs):
-        g = ()
-        for x in xs:
-            g = _poly_gcd(g, x, self.p)
-        return len(g) == 1
+    def _first_associate(self, x):
+        # _sort_key compares the lowest coefficients first
+        low = next((c for c in x if c), 1)
+        return x if low == 1 else self._mul(self._unit_inverse((low,)), x)
+
+    def _quotient(self, m):
+        return PolynomialQuotientRing(self.p, m) if m else self
 
     def _enumerate_payloads(self):
         return _poly_payloads(self.p)
 
 
-@dataclass(frozen=True)
-class PolynomialQuotientRing(_PolynomialPayloads, Ring):
-    """GF(p)[x]/(f) for a nonzero f, stored monic; finite with p^deg(f) elements."""
+# ---------------------------------------------------------------------------
+# Quotients of a Euclidean ring: Z/n and GF(p)[x]/(f)
+# ---------------------------------------------------------------------------
 
-    p: int
-    modulus: tuple
+
+@dataclass(frozen=True)
+class EuclideanQuotientRing(Ring):
+    """base/(m) for a nonzero m of a Euclidean ring, m stored canonical.
+
+    Payloads are the base payloads reduced modulo m.  The ideals are the
+    images of the divisors d of m, so x generates gcd(x, m): units,
+    divisibility and gcd certificates come from the base ring's extended
+    gcd, and each answer is the one that enumerating the ring in canonical
+    order would find first.  Subclasses supply spec, cardinality and the
+    enumeration.
+    """
+
+    base: EuclideanRing
+    modulus: Any
+
+    finite = True
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} not prime")
-        mod = _poly_trim(c % self.p for c in self.modulus)
-        if not mod:
-            raise ValueError("zero modulus polynomial")
-        object.__setattr__(self, "modulus", _poly_monic(mod, self.p)[0])
+        m = self.base._canonical(self.modulus)
+        if m == self.base._zero():
+            raise ValueError(f"zero modulus in a quotient of {self.base.spec()}")
+        norm = self.base._normalizer(m)
+        object.__setattr__(self, "modulus", m if norm is None else self.base._mul(norm, m))
 
-    @property
-    def finite(self) -> bool:
-        return True
+    def _reduce(self, x):
+        return self.base._divmod(x, self.modulus)[1]
+
+    def _canonical(self, value):
+        if isinstance(value, RingElement):
+            self._check(value)
+            return value.payload
+        return self._reduce(self.base._canonical(value))
+
+    def _zero(self):
+        return self.base._zero()
+
+    def _one(self):
+        return self._reduce(self.base._one())
+
+    def _add(self, x, y):
+        return self._reduce(self.base._add(x, y))
+
+    def _neg(self, x):
+        return self._reduce(self.base._neg(x))
+
+    def _mul(self, x, y):
+        return self._reduce(self.base._mul(x, y))
+
+    def _sort_key(self, x):
+        return self.base._sort_key(x)
+
+    def _format(self, x):
+        return self.base._format(x)
+
+    def _parse(self, text):
+        return self._reduce(self.base._parse(text))
+
+    def _ideal_has_one(self, xs):
+        return self.base._ideal_has_one(xs + (self.modulus,))
+
+    def _is_unit(self, x):
+        return self.base._ideal_has_one((x, self.modulus))
+
+    def _divides(self, x, y):
+        # x*q = y mod m iff d = gcd(x, m) divides y; with x*s = d mod m the
+        # solutions are s*(y/d) + (m/d)*k, least at the remainder mod m/d
+        base, m = self.base, self.modulus
+        d, s, _ = base._ext_gcd(x, m)
+        t = base._divides(d, y)
+        if t is None:
+            return None
+        return base._divmod(base._mul(s, t), base._divmod(m, d)[0])[1]
+
+    def _bezout(self, x, y):
+        # xR + yR is generated by h = gcd(x, y, m); g is its first associate.
+        # x*u + y*v = g is solvable in v iff e = gcd(y, m) divides g - x*u,
+        # i.e. u = s*(g/h) mod e/h with x*s = h mod e; then v, a1 and b1
+        # are least quotients.
+        base = self.base
+        e = base._ext_gcd(y, self.modulus)[0]
+        h, s, _ = base._ext_gcd(x, e)
+        g = self._reduce(base._first_associate(h))
+        u = base._divmod(base._mul(s, base._divmod(g, h)[0]), base._divmod(e, h)[0])[1]
+        v = self._divides(y, self._sub(g, self._mul(x, u)))
+        return g, u, v, self._divides(g, x), self._divides(g, y)
+
+
+class IntegerModRing(EuclideanQuotientRing):
+    """Residues modulo n, with canonical representatives in [0, n).
+
+    n = 1 gives the one-element zero ring; it only ever arises as a
+    quotient by a unit and is flagged via is_zero_ring.  Addition,
+    negation and multiplication stay on native ints: going through
+    IntegerRing doubled their cost on Z/97.
+    """
+
+    def __init__(self, n: int):
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"modulus must be a positive integer, got {n!r}")
+        super().__init__(IntegerRing(), n)
 
     @property
     def cardinality(self) -> int:
-        return self.p ** (len(self.modulus) - 1)
+        return self.modulus
 
     def spec(self) -> str:
-        return f"GF({self.p})[x]/({_format_poly(self.modulus)})"
-
-    def _reduce(self, x):
-        if len(self.modulus) == 1:
-            return ()
-        if len(x) < len(self.modulus):
-            return x
-        return _poly_divmod(x, self.modulus, self.p)[1]
-
-    def _canonical(self, value):
-        return self._reduce(self._coerce_poly(value))
-
-    def _one(self):
-        return self._reduce((1,))
+        return f"Z/{_format_int(self.modulus)}"
 
     def _add(self, x, y):
-        return self._reduce(_poly_add(x, y, self.p))
+        return (x + y) % self.modulus
 
     def _neg(self, x):
-        return _poly_neg(x, self.p)
+        return -x % self.modulus
 
     def _mul(self, x, y):
-        return self._reduce(_poly_mul(x, y, self.p))
-
-    def _parse(self, text):
-        return self._reduce(_parse_poly(text, self.p))
+        return (x * y) % self.modulus
 
     def _all_payloads(self):
-        return itertools.islice(_poly_payloads(self.p), self.cardinality)
+        return range(self.modulus)
 
-    def _ideal_has_one(self, xs):
-        g = self.modulus
-        for x in xs:
-            g = _poly_gcd(g, x, self.p)
-        return len(g) == 1
+
+class PolynomialQuotientRing(EuclideanQuotientRing):
+    """GF(p)[x]/(f) for a nonzero f, stored monic; finite with p^deg(f) elements."""
+
+    def __init__(self, p: int, modulus):
+        super().__init__(PolynomialRing(p), modulus)
+
+    @property
+    def cardinality(self) -> int:
+        return self.base.p ** (len(self.modulus) - 1)
+
+    def spec(self) -> str:
+        return f"GF({self.base.p})[x]/({self.base._format(self.modulus)})"
+
+    def _all_payloads(self):
+        return itertools.islice(_poly_payloads(self.base.p), self.cardinality)
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +921,7 @@ class ProductRing(Ring):
     def _parse(self, text):
         text = text.strip()
         if not (text.startswith("(") and text.endswith(")")):
-            raise RingParseError(f"product literal must be (a|b), got {text!r}")
+            raise RingParseError(f"product literal must be (a|b), got {_excerpt(text)}")
         inner = text[1:-1]
         depth = 0
         for i, ch in enumerate(inner):
@@ -905,7 +934,7 @@ class ProductRing(Ring):
                     self.left._parse(inner[:i]),
                     self.right._parse(inner[i + 1 :]),
                 )
-        raise RingParseError(f"missing component separator in {text!r}")
+        raise RingParseError(f"missing component separator in {_excerpt(text)}")
 
     def _is_unit(self, x):
         return self.left._is_unit(x[0]) and self.right._is_unit(x[1])
@@ -960,38 +989,14 @@ def bezout_gcd(ring: Ring, a: RingElement, b: RingElement) -> BezoutCertificate:
     """Gcd with cofactors: g, u, v, a1, b1 with a*u + b*v = g, a = g*a1, b = g*b1.
 
     Over Z the gcd is nonnegative; over GF(p)[x] it is monic or zero.  On
-    finite rings the ideal aR + bR is enumerated and a principal generator
-    is searched for; if none exists the ring is not a Bezout carrier and
-    the failure is reported rather than approximated.
+    finite rings g is the first generator of aR + bR in canonical order,
+    solved from the base ring's extended gcd on Z/n and GF(p)[x]/(f) and
+    searched for elsewhere; if none exists the ring is not a Bezout
+    carrier and the failure is reported rather than approximated.
     """
     ring._check(a)
     ring._check(b)
-    x, y = a.payload, b.payload
-    if isinstance(ring, EuclideanRing):
-        zero = ring._zero()
-        if x == zero and y == zero:
-            return BezoutCertificate(*(ring.zero,) * 5)
-        g, u, v = ring._ext_gcd(x, y)
-        a1, b1 = ring._divmod(x, g)[0], ring._divmod(y, g)[0]
-    elif ring.finite:
-        # first (u, v) in canonical order reaching each element of aR + bR
-        reach: dict = {}
-        for u in ring._payloads:
-            for v in ring._payloads:
-                reach.setdefault(ring._add(ring._mul(x, u), ring._mul(y, v)), (u, v))
-        span = frozenset(reach)
-        g = next((c for c in ring._payloads if ring._principal(c) == span), None)
-        if g is None:
-            raise UnsupportedRingError(
-                f"aR + bR is not principal in {ring.spec()}; cannot certify a gcd"
-            )
-        u, v = reach[g]
-        a1, b1 = ring._divides(g, x), ring._divides(g, y)
-    else:
-        raise UnsupportedRingError(
-            f"bezout_gcd needs Z, GF(p)[x], or a finite ring, not {ring.spec()}"
-        )
-    return BezoutCertificate(*(RingElement(ring, e) for e in (g, u, v, a1, b1)))
+    return BezoutCertificate(*(RingElement(ring, e) for e in ring._bezout(a.payload, b.payload)))
 
 
 # ---------------------------------------------------------------------------
@@ -1007,15 +1012,7 @@ def quotient_ring(ring: Ring, c: RingElement) -> Ring:
     enumeration.  Quotients by a unit give the flagged zero ring.
     """
     ring._check(c)
-    if isinstance(ring, EuclideanRing) and c.payload == ring._zero():
-        return ring
-    if isinstance(ring, IntegerRing):
-        return IntegerModRing(abs(c.payload))
-    if isinstance(ring, PolynomialRing):
-        return PolynomialQuotientRing(ring.p, c.payload)
-    if ring.finite:
-        return QuotientRing(ring, c)
-    raise UnsupportedRingError(f"cannot form a computable quotient of {ring.spec()}")
+    return ring._quotient(c.payload)
 
 
 @dataclass(frozen=True)
@@ -1092,8 +1089,8 @@ def _parse_ring_atom(text: str, pos: int) -> Ring:
     if stripped.startswith("Z/"):
         num = stripped[2:]
         if not num.isdigit():
-            raise RingParseError(f"invalid modulus {num!r}", pos + 2)
-        n = int(num)
+            raise RingParseError(f"invalid modulus {_excerpt(num)}", pos + 2)
+        n = _parse_int(num)
         if n < 2:
             raise RingParseError(f"modulus must be at least 2, got {n}", pos + 2)
         return IntegerModRing(n)
@@ -1103,9 +1100,13 @@ def _parse_ring_atom(text: str, pos: int) -> Ring:
             raise RingParseError("unterminated GF(", pos)
         num = stripped[3:close]
         if not num.isdigit():
-            raise RingParseError(f"invalid characteristic {num!r}", pos + 3)
-        p = int(num)
-        if not is_prime(p):
+            raise RingParseError(f"invalid characteristic {_excerpt(num)}", pos + 3)
+        p = _parse_int(num)
+        try:
+            prime = is_prime(p)
+        except ValueError as exc:
+            raise RingParseError(str(exc), pos + 3) from None
+        if not prime:
             raise RingParseError(f"{p} not prime", pos + 3)
         tail = stripped[close + 1 :]
         if tail == "[x]":
@@ -1120,5 +1121,5 @@ def _parse_ring_atom(text: str, pos: int) -> Ring:
             if not coeffs:
                 raise RingParseError("zero modulus polynomial", coeff_pos)
             return PolynomialQuotientRing(p, coeffs)
-        raise RingParseError(f"invalid ring literal {stripped!r}", pos)
-    raise RingParseError(f"invalid ring literal {stripped!r}", pos)
+        raise RingParseError(f"invalid ring literal {_excerpt(stripped)}", pos)
+    raise RingParseError(f"invalid ring literal {_excerpt(stripped)}", pos)

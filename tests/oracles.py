@@ -3,7 +3,9 @@
 These deliberately re-derive results with different algorithms than the
 package under test: determinantal divisors and determinants from raw minor
 expansion, polynomial arithmetic from schoolbook loops, Hermite completions
-from brute force over invertible 2x2 matrices.
+from brute force over invertible 2x2 matrices, units, quotients and gcd
+certificates of finite rings from exhaustive search, primality from trial
+division.
 """
 
 import math
@@ -294,3 +296,46 @@ def brute_hermite_pair(ring, a, b):
         if ring._add(ring._mul(ap, q01), ring._mul(bp, q11)) == ring._zero():
             return True
     return False
+
+
+# -- exhaustive units, divisibility and gcds on finite rings --------------------
+
+
+def brute_unit_set(ring):
+    """Units found by exhaustive inverse search."""
+    one = ring._one()
+    elems = ring._payloads
+    return frozenset(x for x in elems if any(ring._mul(x, y) == one for y in elems))
+
+
+def brute_divides(ring, x, y):
+    """The canonically least q with x*q = y, or None, by scanning every payload."""
+    return next((q for q in ring._payloads if ring._mul(x, q) == y), None)
+
+
+def brute_bezout(ring, x, y):
+    """(g, u, v, a1, b1) by enumeration: g is the first generator of xR + yR
+    in canonical order, (u, v) the first pair reaching it, a1 and b1 the
+    least quotients; None when xR + yR is not principal."""
+    elems = ring._payloads
+    reach = {}
+    for u in elems:
+        for v in elems:
+            reach.setdefault(ring._add(ring._mul(x, u), ring._mul(y, v)), (u, v))
+    span = frozenset(reach)
+    for g in elems:
+        if frozenset(ring._mul(g, r) for r in elems) == span:
+            u, v = reach[g]
+            return g, u, v, brute_divides(ring, g, x), brute_divides(ring, g, y)
+    return None
+
+
+def trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True

@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,34 @@ def test_snf_and_verify_past_the_int_str_digit_limit(tmp_path, default_int_str_l
     expected = Matrix.from_rows(Z, [[1, 0], [0, a * b]])
     assert parse_certificate(Z, cert.read_text(encoding="utf-8")).D == expected
     assert run_cli("verify", "Z", str(matrix), str(cert)) == (0, "# edr-kit v1\nvalid\n")
+
+
+def test_verify_over_a_large_modulus_without_enumerating(tmp_path, no_enumeration):
+    def write(name, blocks):
+        path = tmp_path / name
+        path.write_text("".join(f"{k}4 4\n" + "\n".join(rows) + "\n" for k, rows in blocks))
+        return str(path)
+
+    def diag(*d):
+        return [" ".join(str(d[i]) if i == j else "0" for j in range(4)) for i in range(4)]
+
+    half = 500000004  # 1/2 modulo 10^9 + 7
+    matrix = write("m.txt", [("", diag(2, 6, 30, 0))])
+    d, eye = ("D\n", diag(1, 3, 15, 0)), ("Q\n", diag(1, 1, 1, 1))
+    good = write("good.txt", [("P\n", diag(half, half, half, 1)), d, eye])
+    start = time.perf_counter()
+    assert run_cli("verify", "Z/1000000007", matrix, good) == (0, "# edr-kit v1\nvalid\n")
+    assert time.perf_counter() - start < 1.0
+    bad = write("bad.txt", [("P\n", diag(half, half, 1, 1)), d, eye])
+    assert run_cli("verify", "Z/1000000007", matrix, bad) == (1, "# edr-kit v1\ninvalid: product\n")
+
+
+def test_long_literals_reach_their_verbs(default_int_str_limit, capsys):
+    ones = "1" * 5000
+    assert run_cli("witness", "GF(5)[x]", ones, "1", "0") == (0, "# edr-kit v1\np=0 q=0\n")
+    code, _ = run_cli("check", "Z/" + ones, "clean")
+    assert code == 2
+    assert "above the bound 50" in capsys.readouterr().err
 
 
 def test_verify_reordered_diagonal_fails_chain(matrix_file, tmp_path):

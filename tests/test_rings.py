@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,24 +7,40 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edrkit import (
+    EuclideanQuotientRing,
     EuclideanRing,
     InfiniteRingError,
     IntegerModRing,
     IntegerRing,
+    Matrix,
     PolynomialQuotientRing,
     PolynomialRing,
     ProductRing,
     QuotientRing,
+    ReductionCertificate,
+    RingElement,
     RingMismatchError,
     RingParseError,
     annihilator,
     bezout_gcd,
+    check_certificate,
+    is_comaximal,
     jacobson_radical,
     quotient_ring,
     ring_parse,
 )
+from edrkit.rings import is_prime
 
-from oracles import p_divmod, p_gcd, p_mul, squarefree_kernel
+from oracles import (
+    brute_bezout,
+    brute_divides,
+    brute_unit_set,
+    p_divmod,
+    p_gcd,
+    p_mul,
+    squarefree_kernel,
+    trial_division_is_prime,
+)
 
 Z = IntegerRing()
 
@@ -99,6 +116,64 @@ def test_integer_literals_past_the_int_str_digit_limit(default_int_str_limit):
     for bad in ("1" * 5000 + "x", "1" * 5000 + "_", "-" + "1__0" * 1250, "1" * 5000 + ".0"):
         with pytest.raises(RingParseError, match="invalid integer literal"):
             Z.parse_element(bad)
+
+
+def test_long_literals_parse_everywhere(default_int_str_limit):
+    ones = "1" * 5000
+    repunit = (10**5000 - 1) // 9
+    assert PolynomialRing(5).parse_element(ones + ",3").payload == (repunit % 5, 3)
+    ring = ring_parse("Z/" + ones)
+    assert ring == IntegerModRing(repunit)
+    assert ring.spec() == "Z/" + ones and ring_parse(ring.spec()) == ring
+    assert ring.format_element(ring.element(-1)).endswith("10")
+
+
+def test_parse_errors_quote_a_bounded_prefix():
+    bad = "1" * 5000 + "x"
+    for parse in (
+        Z.parse_element,
+        PolynomialRing(5).parse_element,
+        IntegerModRing(7).parse_element,
+        lambda text: ring_parse("Z/" + text),
+        lambda text: ring_parse("GF(5)[x]/(" + text + ")"),
+        lambda text: ring_parse("Q" + text),
+    ):
+        with pytest.raises(RingParseError) as err:
+            parse(bad)
+        message = str(err.value)
+        assert len(message) < 120 and "1" * 30 in message
+        assert "'... (500" in message and "characters)" in message
+    # short literals keep their whole echo
+    cases = [
+        (Z.parse_element, "12x", "invalid integer literal '12x' (at position 0)"),
+        (PolynomialRing(5).parse_element, "1,x", "invalid coefficient 'x' (at position 0)"),
+        (PolynomialRing(5).parse_element, "1,,2", "empty coefficient in '1,,2' (at position 0)"),
+        (ring_parse, "Z/1x", "invalid modulus '1x' (at position 2)"),
+        (ring_parse, "GF(q)[x]", "invalid characteristic 'q' (at position 3)"),
+        (ring_parse, "Q", "invalid ring literal 'Q' (at position 0)"),
+    ]
+    for parse, text, message in cases:
+        with pytest.raises(RingParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-5, 10**5) if is_prime(n)] == [
+        n for n in range(-5, 10**5) if trial_division_is_prime(n)
+    ]
+
+
+def test_is_prime_is_deterministic_up_to_its_bound():
+    assert is_prime(10**14 + 31) and is_prime(2**61 - 1)
+    assert not is_prime((10**6 + 3) * (2**61 - 1))
+    # psi_12: a strong pseudoprime to every prime base up to 37, caught by 41
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(ValueError, match="primality"):
+        is_prime(3317044064679887385961981)
+    assert ring_parse("GF(100000000000031)[x]").p == 10**14 + 31
+    with pytest.raises(RingParseError, match="primality"):
+        ring_parse("GF(3317044064679887385961981)[x]")
 
 
 # -- arithmetic ---------------------------------------------------------------
@@ -339,6 +414,117 @@ def test_bezout_gcd_is_a_greatest_common_divisor():
         for d in range(1, 20):
             if a.payload % d == 0 and b.payload % d == 0:
                 assert Z.divides(Z.element(d), cert.g) is not None
+
+
+# -- Euclidean quotients ------------------------------------------------------------
+
+
+def _monic_quotients(limit):
+    """Every GF(p)[x]/(f) with p <= 7, f monic and p^deg(f) <= limit."""
+    rings = []
+    for p in (2, 3, 5, 7):
+        deg = 1
+        while p**deg <= limit:
+            lows = itertools.product(range(p), repeat=deg)
+            rings += [PolynomialQuotientRing(p, low + (1,)) for low in lows]
+            deg += 1
+    return rings
+
+
+EUCLIDEAN_QUOTIENTS = [IntegerModRing(n) for n in range(1, 41)] + _monic_quotients(32)
+
+
+def _pairs(ring, every_up_to, sampled):
+    """Every payload pair of a ring of order at most every_up_to, else a seeded sample."""
+    elems = ring._payloads
+    if len(elems) <= every_up_to:
+        return list(itertools.product(elems, repeat=2))
+    rng = random.Random(ring.spec())
+    return [(rng.choice(elems), rng.choice(elems)) for _ in range(sampled)]
+
+
+def test_euclidean_quotient_units_match_inverse_search():
+    assert len(EUCLIDEAN_QUOTIENTS) == 40 + 138
+    for ring in EUCLIDEAN_QUOTIENTS:
+        assert isinstance(ring, EuclideanQuotientRing)
+        units = brute_unit_set(ring)
+        assert ring._unit_set == units, ring.spec()
+        assert all(ring._is_unit(x) == (x in units) for x in ring._payloads), ring.spec()
+
+
+def test_euclidean_quotient_divides_matches_scan():
+    for ring in EUCLIDEAN_QUOTIENTS:
+        every = 40 if isinstance(ring, IntegerModRing) else 16
+        for x, y in _pairs(ring, every, 60):
+            assert ring._divides(x, y) == brute_divides(ring, x, y), (ring.spec(), x, y)
+
+
+def test_euclidean_quotient_bezout_matches_enumeration():
+    # the enumeration costs |R|^2 ring operations per pair: sample large rings
+    for ring in EUCLIDEAN_QUOTIENTS:
+        every, sampled = (24, 40) if isinstance(ring, IntegerModRing) else (8, 4)
+        for x, y in _pairs(ring, every, sampled):
+            cert = bezout_gcd(ring, RingElement(ring, x), RingElement(ring, y))
+            got = tuple(e.payload for e in (cert.g, cert.u, cert.v, cert.a1, cert.b1))
+            assert got == brute_bezout(ring, x, y), (ring.spec(), x, y)
+
+
+_PRIMES = st.sampled_from([2, 3, 5, 7, 13, 101, 65537, 10**14 + 31])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 10**30), st.integers(-(10**40), 10**40))
+def test_integer_mod_literals_round_trip(n, value):
+    ring = IntegerModRing(n)
+    assert ring_parse(ring.spec()) == ring
+    elem = ring.element(value)
+    assert ring.parse_element(ring.format_element(elem)) == elem
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    _PRIMES,
+    st.lists(st.integers(-(10**20), 10**20), min_size=1, max_size=6),
+    st.lists(st.integers(-(10**20), 10**20), max_size=9),
+)
+def test_polynomial_quotient_literals_round_trip(p, modulus, value):
+    assume(any(c % p for c in modulus))
+    ring = PolynomialQuotientRing(p, modulus)
+    assert ring_parse(ring.spec()) == ring
+    elem = ring.element(value)
+    assert ring.parse_element(ring.format_element(elem)) == elem
+
+
+LARGE_QUOTIENTS = [
+    IntegerModRing(10**12 + 39),
+    PolynomialQuotientRing(2, (1, 0, 0, 1) + (0,) * 36 + (1,)),  # x^40 + x^3 + 1
+]
+
+
+def _large_elements(ring, rng, count):
+    if isinstance(ring, IntegerModRing):
+        return [ring.element(rng.randrange(ring.modulus)) for _ in range(count)]
+    return [ring.element([rng.randrange(2) for _ in range(40)]) for _ in range(count)]
+
+
+@pytest.mark.parametrize("ring", LARGE_QUOTIENTS, ids=["Z_n", "GF2_x_f"])
+def test_large_quotients_answer_without_enumerating(ring, no_enumeration):
+    with pytest.raises(pytest.fail.Exception, match="was enumerated"):
+        ring._payloads
+    assert ring.is_unit(ring.one) and not ring.is_unit(ring.zero)
+    rng = random.Random(11)
+    elems = _large_elements(ring, rng, 12)
+    for a, b in zip(elems, elems[1:]):
+        q = ring.divides(a, a * b)
+        assert q is not None and a * q == a * b
+        cert = bezout_gcd(ring, a, b)
+        check_certificate_equations(ring, a, b, cert)
+        assert is_comaximal(ring, (a, b)) == ring.is_unit(cert.g)
+        d = Matrix(ring, 2, 2, (a, ring.zero, ring.zero, a * b))
+        eye = Matrix(ring, 2, 2, (ring.one, ring.zero, ring.zero, ring.one))
+        assert check_certificate(ring, d, ReductionCertificate(eye, d, eye)) is None
+        wrong = Matrix(ring, 2, 2, (a, ring.zero, ring.zero, a * b + ring.one))
+        assert check_certificate(ring, wrong, ReductionCertificate(eye, d, eye)) == "product"
 
 
 # -- quotients -------------------------------------------------------------------
