@@ -24,7 +24,8 @@ from .rings import (
     Ring,
     RingElement,
     UnsupportedRingError,
-    _format_int,
+    _excerpt,
+    _int_excerpt,
     ideal_span,
     quotient_ring,
     jacobson_radical,
@@ -155,8 +156,10 @@ def _require_finite(ring: Ring, bound: int | None) -> None:
     if not ring.finite:
         raise InfiniteRingError(f"exhaustive check needs a finite ring, not {ring.spec()}")
     if bound is not None and ring.cardinality > bound:
-        size = _format_int(ring.cardinality)
-        raise CardinalityBoundError(f"{ring.spec()} has cardinality {size}, above the bound {bound}")
+        raise CardinalityBoundError(
+            f"{_excerpt(ring.spec())} has cardinality {_int_excerpt(ring.cardinality)},"
+            f" above the bound {bound}"
+        )
 
 
 def _sweep(ring: Ring, prop: RingProperty, bound: int | None) -> PropertyReport:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import Ring, RingElement, RingParseError
+from .rings import Ring, RingElement, RingParseError, _excerpt, _int_excerpt, _parse_int
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,10 @@ def _parse_matrix_lines(ring: Ring, lines: list[str], start: int) -> tuple[Matri
     if idx >= len(lines):
         raise RingParseError("missing matrix header line", idx + 1)
     header = lines[idx].split()
-    if len(header) != 2 or not all(tok.isdigit() for tok in header):
-        raise RingParseError(f"bad matrix header {lines[idx]!r} on line {idx + 1}")
-    rows, cols = int(header[0]), int(header[1])
+    # str.isdigit alone also accepts non-ASCII digits such as "²"
+    if len(header) != 2 or not all(tok.isascii() and tok.isdigit() for tok in header):
+        raise RingParseError(f"bad matrix header {_excerpt(lines[idx])} on line {idx + 1}")
+    rows, cols = _parse_int(header[0]), _parse_int(header[1])
     idx += 1
     entries = []
     for r in range(rows):
@@ -148,7 +149,8 @@ def _parse_matrix_lines(ring: Ring, lines: list[str], start: int) -> tuple[Matri
         tokens = lines[idx].split()
         if len(tokens) != cols:
             raise RingParseError(
-                f"row {r + 1} has {len(tokens)} entries, expected {cols} (line {idx + 1})"
+                f"row {r + 1} has {len(tokens)} entries, expected {_int_excerpt(cols)}"
+                f" (line {idx + 1})"
             )
         entries.extend(ring.parse_element(tok) for tok in tokens)
         idx += 1

@@ -12,6 +12,12 @@ Z/n and GF(p)[x]/(f) subclass EuclideanQuotientRing, which derives units,
 divisibility and gcd certificates from the base ring's extended gcd, so
 none of them enumerates the ring.
 
+GF(p)[x] multiplies by Kronecker substitution once the shorter operand has
+_KRONECKER_MIN_LEN coefficients: the coefficients are packed into slots of
+one integer per operand, and one integer product is unpacked and reduced
+modulo p.  Shorter operands, and pairs whose slots would need more than 8
+bytes (p above about 2^32), take the schoolbook loop.
+
 Elements are immutable and kept in canonical form, so structural equality
 coincides with ring equality.  All operations are pure; rings and elements
 are safe to share across threads.
@@ -23,6 +29,7 @@ import decimal
 import itertools
 import math
 import re
+import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
@@ -476,6 +483,22 @@ def _format_int(x: int) -> str:
         return str(decimal.Decimal(x))
 
 
+# past this many bits a message names an int by a power of two: decimal
+# conversion takes time quadratic in the length (845,099 digits took 15.8 s)
+_FORMAT_BITS = 1 << 16
+
+
+def _int_excerpt(n: int) -> str:
+    """The nonnegative n for an error message: in decimal, cut to its first
+    digits and their count when long, or a lower bound 2^k when huge."""
+    if n.bit_length() > _FORMAT_BITS:
+        return f"at least 2^{n.bit_length() - 1}"
+    digits = _format_int(n)
+    if len(digits) <= _ECHO_LIMIT:
+        return digits
+    return f"{digits[:_ECHO_LIMIT]}... ({len(digits)} digits)"
+
+
 # ---------------------------------------------------------------------------
 # Polynomials over GF(p): payloads are trimmed low-to-high coefficient tuples
 # ---------------------------------------------------------------------------
@@ -508,10 +531,36 @@ def is_prime(n: int) -> bool:
 
 
 def _poly_trim(coeffs) -> tuple:
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+    """coeffs as a tuple without trailing zeros; a trimmed tuple comes back as is."""
+    cs = tuple(coeffs)
+    end = len(cs)
+    while end and not cs[end - 1]:
+        end -= 1
+    return cs if end == len(cs) else cs[:end]
+
+
+# Kronecker substitution (Harvey, "Faster polynomial multiplication via
+# multipoint Kronecker substitution", JSC 44, 2009): each operand's
+# coefficients fill fixed-width little-endian slots of one integer, and one
+# bignum product holds the integer convolution, one coefficient per slot.
+# A slot must hold (p - 1)^2 times the shorter operand's length.  Slots are
+# 1, 2, 4 or 8 bytes wide, the unsigned widths struct packs; an operand pair
+# that needs a wider slot (p above about 2^32) takes the schoolbook loop.
+_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+# Shorter operands take the schoolbook loop: 6 is the least length at which
+# packing won at every slot width.  Packed over schoolbook time per call
+# (Python 3.11, 2-vCPU x86 VM, min of 11 interleaved runs of 3000 calls, two
+# runs, equal lengths, p = 5, 31, 251, 65537 for slots of 1, 2, 4, 8 bytes):
+# length 2 x1.48-2.61, 3 x1.15-2.20, 4 x0.82-1.70, 5 x0.68-1.22,
+# 6 x0.70-0.94, 8 x0.41-0.63.
+_KRONECKER_MIN_LEN = 6
+
+
+def _pack(coeffs: tuple, code: str) -> int:
+    """The integer whose little-endian slots of struct code hold coeffs."""
+    data = bytes(coeffs) if code == "B" else struct.pack(f"<{len(coeffs)}{code}", *coeffs)
+    return int.from_bytes(data, "little")
 
 
 def _poly_payloads(p: int) -> Iterator[tuple]:
@@ -566,24 +615,45 @@ class PolynomialRing(EuclideanRing):
         return (1,)
 
     def _add(self, x, y):
-        p, n = self.p, max(len(x), len(y))
-        return _poly_trim(
-            ((x[i] if i < len(x) else 0) + (y[i] if i < len(y) else 0)) % p
-            for i in range(n)
-        )
+        if len(x) < len(y):
+            x, y = y, x
+        p = self.p
+        low = [(a + b) % p for a, b in zip(x, y)]
+        if len(x) > len(y):
+            # the tail ends in x's nonzero leading coefficient
+            return (*low, *x[len(y) :])
+        return _poly_trim(low)
 
     def _neg(self, x):
-        return tuple(-c % self.p for c in x)
+        p = self.p
+        return tuple([-c % p for c in x])
 
     def _mul(self, x, y):
-        if not x or not y:
+        if len(x) > len(y):
+            x, y = y, x
+        if not x:
             return ()
-        p, out = self.p, [0] * (len(x) + len(y) - 1)
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    out[i + j] = (out[i + j] + a * b) % p
-        return _poly_trim(out)
+        # p is prime, so the leading coefficient x[-1] * y[-1] is nonzero
+        # modulo p and no product needs trimming
+        p, n = self.p, len(x) + len(y) - 1
+        if len(x) == 1:
+            a = x[0]
+            return tuple([a * c % p for c in y])
+        code = None
+        if len(x) >= _KRONECKER_MIN_LEN:
+            needed = (((p - 1) ** 2 * len(x)).bit_length() + 7) // 8
+            width = 1 << (needed - 1).bit_length()
+            code = _SLOT_CODES.get(width)
+        if code is None:
+            out = [0] * n
+            for i, a in enumerate(x):
+                if a:
+                    for j, b in enumerate(y, i):
+                        out[j] = (out[j] + a * b) % p
+            return tuple(out)
+        data = (_pack(x, code) * _pack(y, code)).to_bytes(n * width, "little")
+        slots = data if code == "B" else struct.unpack(f"<{n}{code}", data)
+        return tuple([c % p for c in slots])
 
     def _sort_key(self, x):
         return (len(x), x)
@@ -600,18 +670,22 @@ class PolynomialRing(EuclideanRing):
     def _divmod(self, x, d):
         if not d:
             raise ZeroDivisionError("polynomial division by zero")
-        if len(x) < len(d):
+        p, top = self.p, len(d) - 1
+        if len(x) <= top:
             return (), x
-        p, rem = self.p, list(x)
         inv_lead = pow(d[-1], -1, p)
-        quot = [0] * (len(x) - len(d) + 1)
+        rem = list(x)
+        # x's leading coefficient makes the quotient's nonzero, so it needs
+        # no trimming; each step clears rem[k + top], so the remainder is
+        # rem[:top]
+        quot = [0] * (len(x) - top)
         for k in range(len(quot) - 1, -1, -1):
-            coef = (rem[k + len(d) - 1] * inv_lead) % p
-            quot[k] = coef
+            coef = rem[k + top] * inv_lead % p
             if coef:
-                for j, b in enumerate(d):
-                    rem[k + j] = (rem[k + j] - coef * b) % p
-        return _poly_trim(quot), _poly_trim(rem)
+                quot[k] = coef
+                for j, b in enumerate(d, k):
+                    rem[j] = (rem[j] - coef * b) % p
+        return tuple(quot), _poly_trim(rem[:top])
 
     def _unit_inverse(self, u):
         return (pow(u[0], -1, self.p),)

@@ -226,6 +226,33 @@ def test_long_literals_reach_their_verbs(default_int_str_limit, capsys):
     assert "above the bound 50" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "header",
+    ["\u00b2 1", "1" * 5000 + " 1", "1 " + "1" * 5000, "x" * 5000],
+    ids=["superscript-digit", "long-row-count", "long-column-count", "long-bad-header"],
+)
+def test_snf_bad_matrix_header_is_a_short_parse_error(header, tmp_path, default_int_str_limit, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text(f"{header}\n5\n", encoding="utf-8")
+    assert run_cli("snf", "Z", str(path)) == (2, "")
+    assert len(capsys.readouterr().err.encode()) <= 200
+
+
+def test_cardinality_bound_error_is_short(default_int_str_limit, capsys):
+    code, _ = run_cli("check", "Z/" + "1" * 5000, "clean")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "(5000 digits), above the bound 50" in err
+    assert len(err.encode()) <= 200
+    # p^3000 has 73,563 digits; it is named by a power of two, not formatted
+    modulus = ",".join(["0"] * 3000 + ["1"])
+    code, _ = run_cli("check", f"GF(3317044064679887385961813)[x]/({modulus})", "clean")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "has cardinality at least 2^" in err
+    assert len(err.encode()) <= 200
+
+
 def test_verify_reordered_diagonal_fails_chain(matrix_file, tmp_path):
     cert_path = tmp_path / "cert.txt"
     cert_path.write_text(

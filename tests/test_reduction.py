@@ -29,7 +29,14 @@ from edrkit import (
     verify_certificate,
 )
 
-from oracles import int_determinantal_divisors, p_mul, poly_determinantal_divisors
+from oracles import (
+    int_determinantal_divisors,
+    p_add,
+    p_divmod,
+    p_mul,
+    p_trim,
+    poly_determinantal_divisors,
+)
 
 Z = IntegerRing()
 G5 = PolynomialRing(5)
@@ -354,6 +361,56 @@ def test_snf_diagonal_matches_determinantal_divisors(name, kind):
             assert prod == expected
 
     check()
+
+
+def _seeded_poly_grid(rng, p, m, n, rank):
+    """An m x n GF(p)[x] grid of degree <= 1 entries, or, for rank < min(m, n),
+    a product of m x rank and rank x n such grids (built with the oracles)."""
+
+    def entries(rows, cols):
+        return [[p_trim((rng.randrange(p), rng.randrange(p))) for _ in range(cols)] for _ in range(rows)]
+
+    if rank >= min(m, n):
+        return entries(m, n)
+    left, right = entries(m, rank), entries(rank, n)
+    grid = [[() for _ in range(n)] for _ in range(m)]
+    for i in range(m):
+        for j in range(n):
+            for k in range(rank):
+                grid[i][j] = p_add(grid[i][j], p_mul(left[i][k], right[k][j], p), p)
+    return grid
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_poly_snf_is_identical_under_schoolbook_kernels(p, monkeypatch):
+    # the packed products and zip-based sums of PolynomialRing must not
+    # change a single P, D or Q entry, nor a verdict
+    ring = PolynomialRing(p)
+    rng = random.Random(f"schoolbook-kernels/{p}")
+    shapes = [(12, 12, 12), (12, 12, 5)]
+    for _ in range(3):
+        m, n = rng.randint(2, 12), rng.randint(2, 12)
+        shapes.append((m, n, rng.choice([min(m, n), rng.randint(0, min(m, n) - 1)])))
+    matrices = [Matrix.from_rows(ring, _seeded_poly_grid(rng, p, *shape)) for shape in shapes]
+
+    def outcomes():
+        out = []
+        for m in matrices:
+            cert = smith_normal_form(ring, m)
+            d_grid = cert.D.payload_grid()
+            d_grid[0][0] = ring._add(d_grid[0][0], ring._one())
+            tampered = ReductionCertificate(cert.P, Matrix.from_rows(ring, d_grid), cert.Q)
+            verdicts = check_certificate(ring, m, cert), check_certificate(ring, m, tampered)
+            out.append((format_certificate(cert), *verdicts))
+        return out
+
+    packed = outcomes()
+    monkeypatch.setattr(PolynomialRing, "_add", lambda self, x, y: p_add(x, y, self.p))
+    monkeypatch.setattr(PolynomialRing, "_mul", lambda self, x, y: p_mul(x, y, self.p))
+    monkeypatch.setattr(PolynomialRing, "_divmod", lambda self, x, d: p_divmod(x, d, self.p))
+    assert outcomes() == packed
+    assert {verdict for _, verdict, _ in packed} == {None}
+    assert {verdict for _, _, verdict in packed} == {"product"}
 
 
 def test_snf_later_hermite_passes(monkeypatch):

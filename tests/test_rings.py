@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from edrkit import (
@@ -35,9 +35,12 @@ from oracles import (
     brute_bezout,
     brute_divides,
     brute_unit_set,
+    p_add,
     p_divmod,
     p_gcd,
     p_mul,
+    p_neg,
+    p_trim,
     squarefree_kernel,
     trial_division_is_prime,
 )
@@ -196,6 +199,53 @@ def test_poly_mul_matches_schoolbook_oracle():
         f = tuple(rng.randrange(5) for _ in range(rng.randint(0, 4)))
         h = tuple(rng.randrange(5) for _ in range(rng.randint(0, 4)))
         assert (g.element(f) * g.element(h)).payload == p_mul(f, h, 5)
+
+
+# From length 6 on, products over small primes are packed into 1-, 2-, 4-
+# or 8-byte slots, each holding (p - 1)^2 times the shorter length; from
+# 2^31 - 1 up to the largest prime is_prime decides,
+# 3317044064679887385961813, a slot would be wider and the schoolbook loop
+# runs, as it does below length 6.
+KERNEL_PRIMES = (2, 3, 5, 7, 251, 257, 65537, 2**31 - 1, 2**61 - 1, 3317044064679887385961813)
+
+
+@st.composite
+def _kernel_operands(draw):
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    # p - 1 fills a slot to its bound
+    coeffs = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+    x = p_trim(draw(st.lists(coeffs, max_size=80)))
+    y = p_trim(draw(st.lists(coeffs, max_size=80)))
+    if draw(st.booleans()):
+        # x + y cancels x's leading coefficients and leaves the shorter y
+        y = p_add(p_neg(x, p), y[: max(len(x) - 2, 0)], p)
+    return p, x, y
+
+
+# Slots filled to their bound: with all coefficients p - 1, the middle
+# coefficient of the product is (p - 1)^2 times the shorter length, which
+# for p = 5, 103, 26737, 1753413037 fits 1, 2, 4, 8 bytes at the first
+# length and needs the next width at the second.
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_kernel_operands())
+@example((5, (4,) * 15, (4,) * 80))
+@example((5, (4,) * 16, (4,) * 80))
+@example((103, (102,) * 6, (102,) * 40))
+@example((103, (102,) * 7, (102,) * 40))
+@example((26737, (26736,) * 6, (26736,) * 40))
+@example((26737, (26736,) * 7, (26736,) * 40))
+@example((1753413037, (1753413036,) * 6, (1753413036,) * 40))
+@example((1753413037, (1753413036,) * 7, (1753413036,) * 40))
+@example((7, (1, 2, 3), (6, 5, 4)))  # the sum cancels to ()
+def test_poly_kernels_match_schoolbook_oracles(case):
+    p, x, y = case
+    ring = PolynomialRing(p)
+    assert ring._add(x, y) == p_add(x, y, p)
+    assert ring._sub(x, y) == p_add(x, p_neg(y, p), p)
+    assert ring._mul(x, y) == p_mul(x, y, p)
+    if y:
+        assert ring._divmod(x, y) == p_divmod(x, y, p)
+        assert ring._divmod(ring._mul(x, y), y) == (x, ())
 
 
 @pytest.mark.parametrize("ring", sample_rings(), ids=lambda r: r.spec())
