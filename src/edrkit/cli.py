@@ -26,9 +26,9 @@ from .matrices import format_certificate, parse_certificate, parse_matrix
 from .reduction import smith_normal_form, stable_range_2_witness
 from .rings import (
     InfiniteRingError,
-    IntegerRing,
     RingParseError,
     UnsupportedRingError,
+    quotient_ring,
     ring_parse,
 )
 from .verification import CertificateShapeError, check_certificate
@@ -145,13 +145,10 @@ def _cmd_diadem(args, out) -> int:
         print("pair not comaximal", file=sys.stderr)
         return EXIT_NEGATIVE
     witness = find_diadem(ring, a, b)
-    if witness.evidence is DiademEvidence.QUOTIENT_STABLE_RANGE_1 and isinstance(
-        ring, IntegerRing
-    ):
+    if witness.evidence is DiademEvidence.QUOTIENT_STABLE_RANGE_1:
         # spot-certify the quotient criterion when the quotient is small
-        if abs(witness.diadem.payload) <= args.bound and not is_diadem_via_quotient(
-            ring, a, b, witness.multiplier, args.bound
-        ):
+        small = quotient_ring(ring, witness.diadem).cardinality <= args.bound
+        if small and not is_diadem_via_quotient(ring, a, b, witness.multiplier, args.bound):
             raise AssertionError("diadem failed its quotient spot-certification")
     out.write(HEADER + "\n")
     out.write(

@@ -413,32 +413,18 @@ def find_diadem(ring: Ring, a: RingElement, b: RingElement) -> DiademWitness:
     if not is_comaximal(ring, (a, b)):
         raise ValueError("pair is not comaximal")
     zero = ring._zero()
-    if ring.finite:
-        for t in ring._payloads:
-            w = ring._add(a.payload, ring._mul(b.payload, t))
-            if ring._is_unit(w):
-                evidence = DiademEvidence.TRIVIAL_UNIT
-            elif _is_diadem_payload(ring, w):
-                evidence = DiademEvidence.EXHAUSTIVE_DEFINITION
-            else:
-                continue
-            return DiademWitness(
-                a, b, RingElement(ring, t), RingElement(ring, w), evidence
-            )
-        raise ValueError("diadem search exhausted")  # unreachable: finite commutative
-    if not isinstance(ring, EuclideanRing):
-        raise UnsupportedRingError(f"diadem search is not available on {ring.spec()}")
     for t in ring._enumerate_payloads():
         w = ring._add(a.payload, ring._mul(b.payload, t))
-        if w == zero:
+        if ring._is_unit(w):
+            evidence = DiademEvidence.TRIVIAL_UNIT
+        elif ring.finite and _is_diadem_payload(ring, w):
+            evidence = DiademEvidence.EXHAUSTIVE_DEFINITION
+        elif not ring.finite and w != zero:
+            evidence = DiademEvidence.QUOTIENT_STABLE_RANGE_1
+        else:
             continue
-        evidence = (
-            DiademEvidence.TRIVIAL_UNIT
-            if ring._is_unit(w)
-            else DiademEvidence.QUOTIENT_STABLE_RANGE_1
-        )
         return DiademWitness(a, b, RingElement(ring, t), RingElement(ring, w), evidence)
-    raise ValueError("diadem search exhausted")  # unreachable: b = 0 forces a a unit
+    raise ValueError("diadem search exhausted")  # unreachable: finite commutative
 
 
 def _dyadic_range_1_violation(ring: Ring, tuples):

@@ -141,7 +141,8 @@ def _parse_matrix_lines(ring: Ring, lines: list[str], start: int) -> tuple[Matri
     rows, cols = _parse_int(header[0]), _parse_int(header[1])
     idx += 1
     entries = []
-    for r in range(rows):
+    # a zero-width row is written as a blank line, which reads as no line
+    for r in range(rows if cols else 0):
         while idx < len(lines) and not lines[idx].strip():
             idx += 1
         if idx >= len(lines):

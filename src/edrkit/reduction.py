@@ -9,7 +9,8 @@ routine, a Kannan-Bachem column Hermite pass that keeps every entry
 bounded by the input's minors, run alternately on the matrix and its
 transpose until nothing is left below the diagonal (polynomially many
 passes); divisibility chains are repaired by delegating diagonal pairs
-back to the comaximal core.
+back to the comaximal core.  Both work on one tableau [[A, P], [Q, 0]],
+whose transpose is the tableau of the transposed problem.
 """
 
 from __future__ import annotations
@@ -96,105 +97,105 @@ def hermite_reduce_2x1(
 
 
 # ---------------------------------------------------------------------------
-# Tracked elementary transforms on payload grids
+# Tracked elementary transforms on one payload tableau
 # ---------------------------------------------------------------------------
 
 
 class _Tracked:
-    """Mutable grids a, p, q with p * A0 * q = a maintained throughout."""
+    """The tableau [[A, P], [Q, 0]] with P * A0 * Q = A maintained throughout.
+
+    a is one list of m + n rows: the first m rows hold A (m x n) followed
+    by P (m x m), the last n rows hold Q (n x n) followed by n x m zeros,
+    so a[i][j] with i < m and j < n is the working matrix.  A row operation
+    on rows below m moves A and P together, a column operation on columns
+    below n moves A and Q together, and neither touches the zero block.
+    """
 
     def __init__(self, ring: Ring, source: Matrix):
         self.ring = ring
-        self.a = source.payload_grid()
-        self.m = source.rows
-        self.n = source.cols
-        one, zero = ring._one(), ring._zero()
-        self.p = [
-            [one if i == j else zero for j in range(self.m)] for i in range(self.m)
-        ]
-        self.q = [
-            [one if i == j else zero for j in range(self.n)] for i in range(self.n)
-        ]
+        self.m = m = source.rows
+        self.n = n = source.cols
+        grid = source.payload_grid()
+        self.a = [row + _unit_row(ring, i, m) for i, row in enumerate(grid)]
+        self.a += [_unit_row(ring, j, n + m) for j in range(n)]
 
     def row_block(self, i: int, j: int, t) -> None:
-        """Rows i, j of a (and p) become t applied to the old pair."""
+        """Rows i, j of A (and P) become t applied to the old pair."""
         ring = self.ring
         (t00, t01), (t10, t11) = t
-        for grid, width in ((self.a, self.n), (self.p, self.m)):
-            ri, rj = grid[i], grid[j]
-            for k in range(width):
-                x, y = ri[k], rj[k]
-                ri[k] = ring._add(ring._mul(t00, x), ring._mul(t01, y))
-                rj[k] = ring._add(ring._mul(t10, x), ring._mul(t11, y))
+        ri, rj = self.a[i], self.a[j]
+        for k in range(len(ri)):
+            x, y = ri[k], rj[k]
+            ri[k] = ring._add(ring._mul(t00, x), ring._mul(t01, y))
+            rj[k] = ring._add(ring._mul(t10, x), ring._mul(t11, y))
 
     def col_block(self, i: int, j: int, t) -> None:
-        """Columns i, j of a (and q) become the old pair times t."""
+        """Columns i, j of A (and Q) become the old pair times t."""
         ring = self.ring
         (t00, t01), (t10, t11) = t
-        for grid, height in ((self.a, self.m), (self.q, self.n)):
-            for r in range(height):
-                row = grid[r]
-                x, y = row[i], row[j]
-                row[i] = ring._add(ring._mul(x, t00), ring._mul(y, t10))
-                row[j] = ring._add(ring._mul(x, t01), ring._mul(y, t11))
+        for row in self.a:
+            x, y = row[i], row[j]
+            row[i] = ring._add(ring._mul(x, t00), ring._mul(y, t10))
+            row[j] = ring._add(ring._mul(x, t01), ring._mul(y, t11))
 
     def add_col(self, i: int, j: int, f) -> None:
         """col_i += f * col_j."""
         ring = self.ring
         zero = ring._zero()
-        for grid in (self.a, self.q):
-            for row in grid:
-                v = row[j]
-                if v != zero:
-                    row[i] = ring._add(row[i], ring._mul(f, v))
+        for row in self.a:
+            v = row[j]
+            if v != zero:
+                row[i] = ring._add(row[i], ring._mul(f, v))
 
     def swap_rows(self, i: int, j: int) -> None:
-        if i != j:
-            self.a[i], self.a[j] = self.a[j], self.a[i]
-            self.p[i], self.p[j] = self.p[j], self.p[i]
+        a = self.a
+        a[i], a[j] = a[j], a[i]
 
     def swap_cols(self, i: int, j: int) -> None:
         if i != j:
-            for grid in (self.a, self.q):
-                for row in grid:
-                    row[i], row[j] = row[j], row[i]
+            for row in self.a:
+                row[i], row[j] = row[j], row[i]
 
     def add_row(self, i: int, j: int, f) -> None:
         """row_i += f * row_j."""
         ring = self.ring
-        for grid in (self.a, self.p):
-            ri, rj = grid[i], grid[j]
-            for k in range(len(ri)):
-                ri[k] = ring._add(ri[k], ring._mul(f, rj[k]))
+        ri, rj = self.a[i], self.a[j]
+        for k in range(len(ri)):
+            ri[k] = ring._add(ri[k], ring._mul(f, rj[k]))
 
     def scale_row(self, i: int, u) -> None:
         """row_i *= u for a unit u."""
         ring = self.ring
-        for grid in (self.a, self.p):
-            ri = grid[i]
-            for k in range(len(ri)):
-                ri[k] = ring._mul(u, ri[k])
+        ri = self.a[i]
+        for k in range(len(ri)):
+            ri[k] = ring._mul(u, ri[k])
 
     def transpose(self) -> None:
-        """Swap to the transposed problem: q^t * A0^t * p^t = a^t.
+        """Swap to the transposed problem Q^t * A0^t * P^t = A^t, whose
+        tableau [[A^t, Q^t], [P^t, 0]] is the transposed tableau.
 
         Column operations on the result are row operations on the original.
         """
-        self.a = _transpose_grid(self.a, self.n)
-        self.p, self.q = _transpose_grid(self.q, self.n), _transpose_grid(self.p, self.m)
+        self.a = [list(col) for col in zip(*self.a)]
         self.m, self.n = self.n, self.m
 
     def certificate(self) -> ReductionCertificate:
-        ring = self.ring
+        m, n = self.m, self.n
+        top, bottom = self.a[:m], self.a[m:]
         return ReductionCertificate(
-            from_payload_grid(ring, self.p),
-            from_payload_grid(ring, self.a),
-            from_payload_grid(ring, self.q),
+            self._block(top, n, m + n), self._block(top, 0, n), self._block(bottom, 0, n)
         )
 
+    def _block(self, rows, lo: int, hi: int) -> Matrix:
+        """Columns lo..hi-1 of the given tableau rows, shaped even when empty."""
+        ring = self.ring
+        entries = tuple(RingElement(ring, x) for row in rows for x in row[lo:hi])
+        return Matrix(ring, len(rows), hi - lo, entries)
 
-def _transpose_grid(grid, width: int):
-    return [[row[j] for row in grid] for j in range(width)]
+
+def _unit_row(ring: Ring, i: int, size: int) -> list:
+    one, zero = ring._one(), ring._zero()
+    return [one if k == i else zero for k in range(size)]
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +383,8 @@ def _merge_diagonal_pair(work: _Tracked, i: int, j: int) -> None:
         [[cert.a1.payload, ring._zero()], [cert.a1.payload, cert.b1.payload]],
     )
     sub_cert = reduce_2x2_comaximal(ring, sub)
-    pg = sub_cert.P.payload_grid()
-    qg = sub_cert.Q.payload_grid()
-    work.row_block(i, j, ((pg[0][0], pg[0][1]), (pg[1][0], pg[1][1])))
-    work.col_block(i, j, ((qg[0][0], qg[0][1]), (qg[1][0], qg[1][1])))
+    work.row_block(i, j, sub_cert.P.payload_grid())
+    work.col_block(i, j, sub_cert.Q.payload_grid())
 
 
 def smith_normal_form(ring: Ring, source: Matrix) -> ReductionCertificate:

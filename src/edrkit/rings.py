@@ -10,7 +10,7 @@ remainder, the extended gcd, unit inverses and canonical associates
 certifies gcds through it, never through either carrier's payload format.
 Z/n and GF(p)[x]/(f) subclass EuclideanQuotientRing, which derives units,
 divisibility and gcd certificates from the base ring's extended gcd, so
-none of them enumerates the ring.
+none of them enumerates the ring; a product takes them componentwise.
 
 GF(p)[x] multiplies by Kronecker substitution once the shorter operand has
 _KRONECKER_MIN_LEN coefficients: the coefficients are packed into slots of
@@ -1020,6 +1020,13 @@ class ProductRing(Ring):
             return None
         return (ql, qr)
 
+    def _bezout(self, x, y):
+        # the ideals are products of ideals and the order compares the left
+        # component first, so the first answer is the pair of first answers
+        if not self.finite:
+            return super()._bezout(x, y)
+        return tuple(zip(self.left._bezout(x[0], y[0]), self.right._bezout(x[1], y[1])))
+
     def _all_payloads(self):
         return itertools.product(self.left._payloads, self.right._payloads)
 
@@ -1064,9 +1071,10 @@ def bezout_gcd(ring: Ring, a: RingElement, b: RingElement) -> BezoutCertificate:
 
     Over Z the gcd is nonnegative; over GF(p)[x] it is monic or zero.  On
     finite rings g is the first generator of aR + bR in canonical order,
-    solved from the base ring's extended gcd on Z/n and GF(p)[x]/(f) and
-    searched for elsewhere; if none exists the ring is not a Bezout
-    carrier and the failure is reported rather than approximated.
+    solved from the base ring's extended gcd on Z/n and GF(p)[x]/(f),
+    componentwise on products and searched for elsewhere; if none exists
+    the ring is not a Bezout carrier and the failure is reported rather
+    than approximated.
     """
     ring._check(a)
     ring._check(b)

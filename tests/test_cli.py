@@ -155,6 +155,33 @@ def test_diadem_failed_spot_certification_exits_2_under_optimize():
     assert "spot-certification" in done.stderr
 
 
+def test_diadem_spot_certification_covers_polynomials_under_optimize():
+    # the spot-check is bounded by the quotient's cardinality, so it also
+    # runs over GF(p)[x]: GF(5)[x]/(x + 1) has 5 elements
+    script = (
+        "import sys, edrkit.cli as cli\n"
+        "cli.is_diadem_via_quotient = lambda *args: False\n"
+        "sys.exit(cli.main(['diadem', 'GF(5)[x]', '1,1', '0,1']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "spot-certification" in done.stderr
+
+
+def test_diadem_over_polynomials_passes_its_spot_certification():
+    code, text = run_cli("diadem", "GF(5)[x]", "1,1", "0,1")
+    assert code == 0
+    assert text == "# edr-kit v1\nmultiplier=0 diadem=1,1 evidence=quotient-sr1\n"
+
+
 # -- witness ----------------------------------------------------------------
 
 
@@ -184,6 +211,18 @@ def test_verify_round_trip(matrix_file, tmp_path):
     code, text = run_cli("verify", "Z", matrix_file, str(cert_path))
     assert code == 0
     assert text.endswith("valid\n")
+
+
+@pytest.mark.parametrize("shape", ["0 3", "3 0"])
+def test_snf_and_verify_empty_shapes(tmp_path, shape):
+    # a 0 x n certificate keeps D at 0 x n, and an m x 0 matrix, written with
+    # one blank line per row, reads back
+    matrix = tmp_path / "m.txt"
+    matrix.write_text(shape + "\n", encoding="utf-8")
+    cert = tmp_path / "cert.txt"
+    assert run_cli("snf", "Z", str(matrix), "--output", str(cert)) == (0, "")
+    assert f"D\n{shape}\n" in cert.read_text(encoding="utf-8")
+    assert run_cli("verify", "Z", str(matrix), str(cert)) == (0, "# edr-kit v1\nvalid\n")
 
 
 def test_snf_and_verify_past_the_int_str_digit_limit(tmp_path, default_int_str_limit):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -17,12 +18,14 @@ from edrkit import (
     check_certificate,
     diadem_step,
     format_certificate,
+    format_matrix,
     gelfand_range_1_witness,
     hermite_reduce_1x2,
     hermite_reduce_2x1,
     is_comaximal,
     is_diadem_via_quotient,
     parse_certificate,
+    parse_matrix,
     reduce_2x2_comaximal,
     smith_normal_form,
     stable_range_2_witness,
@@ -214,6 +217,16 @@ def test_snf_empty_and_zero_matrices():
     cert = smith_normal_form(Z, zero)
     assert cert.D.payload_grid() == [[0, 0, 0], [0, 0, 0]]
     assert verify_certificate(Z, zero, cert)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+def test_snf_empty_certificates_keep_their_shapes(shape):
+    empty = Matrix(Z, *shape, ())
+    cert = smith_normal_form(Z, empty)
+    m, n = shape
+    assert (cert.P.shape, cert.D.shape, cert.Q.shape) == ((m, m), (m, n), (n, n))
+    assert verify_certificate(Z, empty, cert)
+    assert parse_certificate(Z, format_certificate(cert)) == cert
 
 
 def test_snf_rectangular_shapes():
@@ -411,6 +424,44 @@ def test_poly_snf_is_identical_under_schoolbook_kernels(p, monkeypatch):
     assert outcomes() == packed
     assert {verdict for _, verdict, _ in packed} == {None}
     assert {verdict for _, _, verdict in packed} == {"product"}
+
+
+def _pinned_corpus():
+    """(ring, grid) pairs: seeded Z matrices of sides 1-8 (dense,
+    rank-deficient, wide, tall) and GF(2/3/5)[x] ones of sides 1-5."""
+    rng = random.Random("pinned-certificates")
+
+    def z_grid(m, n):
+        return [[rng.randint(-99, 99) for _ in range(n)] for _ in range(m)]
+
+    out = []
+    for side in range(1, 9):
+        rank = rng.randint(0, side - 1)
+        left, right = z_grid(side, rank), z_grid(rank, side)
+        deficient = [
+            [sum(left[i][k] * right[k][j] for k in range(rank)) for j in range(side)]
+            for i in range(side)
+        ]
+        wide = z_grid(side, side + rng.randint(1, 4))
+        tall = z_grid(side + rng.randint(1, 4), side)
+        out += [(Z, grid) for grid in (z_grid(side, side), deficient, wide, tall)]
+    for p in (2, 3, 5):
+        for k in range(1, 6):
+            for m, n, rank in ((k, k, k), (k, k, k - 1), (k, k + 1, k), (k + 1, k, k)):
+                out.append((PolynomialRing(p), _seeded_poly_grid(rng, p, m, n, rank)))
+    return out
+
+
+def test_snf_certificates_match_pinned_digest():
+    # D is pinned by the chain; P and Q may change only when a change says
+    # so, and this digest of whole formatted certificates is where it shows
+    digest = hashlib.sha256()
+    for ring, grid in _pinned_corpus():
+        cert = smith_normal_form(ring, Matrix.from_rows(ring, grid))
+        digest.update(format_certificate(cert).encode())
+    assert digest.hexdigest() == (
+        "f2e6cb6d7e7fd30f0dcf198f0d1fd1e06a687880af2ec6d0f4da81ddc178d3e5"
+    )
 
 
 def test_snf_later_hermite_passes(monkeypatch):
@@ -615,6 +666,18 @@ def test_certificate_text_round_trip():
     text = format_certificate(cert)
     parsed = parse_certificate(Z, text)
     assert parsed == cert
+
+
+@pytest.mark.parametrize(
+    "shape, text", [((3, 0), "3 0\n\n\n\n"), ((0, 3), "0 3\n"), ((0, 0), "0 0\n")]
+)
+def test_empty_matrix_text_round_trip(shape, text):
+    # a zero-width row is written as a blank line; the header alone says
+    # that no row line follows
+    for ring in (Z, G5):
+        empty = Matrix(ring, *shape, ())
+        assert format_matrix(empty) == text
+        assert parse_matrix(ring, text) == empty
 
 
 # -- stable range 2 witnesses ------------------------------------------------------------

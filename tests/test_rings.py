@@ -519,6 +519,27 @@ def test_euclidean_quotient_bezout_matches_enumeration():
             assert got == brute_bezout(ring, x, y), (ring.spec(), x, y)
 
 
+_SMALL_FACTORS = [
+    IntegerModRing(4),
+    IntegerModRing(6),
+    IntegerModRing(1),
+    PolynomialQuotientRing(2, (0, 0, 1)),
+    QuotientRing(IntegerModRing(12), IntegerModRing(12).element(4)),
+    ProductRing(IntegerModRing(2), IntegerModRing(3)),
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_SMALL_FACTORS), st.sampled_from(_SMALL_FACTORS), st.data())
+def test_product_bezout_matches_enumeration(left, right, data):
+    # componentwise certificates are the first answer in the product's order
+    ring = ProductRing(left, right)
+    x, y = (data.draw(st.sampled_from(ring._payloads)) for _ in range(2))
+    cert = bezout_gcd(ring, RingElement(ring, x), RingElement(ring, y))
+    got = tuple(e.payload for e in (cert.g, cert.u, cert.v, cert.a1, cert.b1))
+    assert got == brute_bezout(ring, x, y), (ring.spec(), x, y)
+
+
 _PRIMES = st.sampled_from([2, 3, 5, 7, 13, 101, 65537, 10**14 + 31])
 
 
@@ -552,12 +573,20 @@ LARGE_QUOTIENTS = [
 
 
 def _large_elements(ring, rng, count):
+    if isinstance(ring, ProductRing):
+        left = _large_elements(ring.left, rng, count)
+        right = _large_elements(ring.right, rng, count)
+        return [ring.element((x.payload, y.payload)) for x, y in zip(left, right)]
     if isinstance(ring, IntegerModRing):
         return [ring.element(rng.randrange(ring.modulus)) for _ in range(count)]
     return [ring.element([rng.randrange(2) for _ in range(40)]) for _ in range(count)]
 
 
-@pytest.mark.parametrize("ring", LARGE_QUOTIENTS, ids=["Z_n", "GF2_x_f"])
+@pytest.mark.parametrize(
+    "ring",
+    LARGE_QUOTIENTS + [ProductRing(*LARGE_QUOTIENTS)],
+    ids=["Z_n", "GF2_x_f", "product"],
+)
 def test_large_quotients_answer_without_enumerating(ring, no_enumeration):
     with pytest.raises(pytest.fail.Exception, match="was enumerated"):
         ring._payloads

@@ -17,3 +17,18 @@ def test_library_has_no_bare_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_verifier_imports_only_matrices_and_rings():
+    # the verifier shares no code with the producer: it may use the matrix
+    # and ring layers, never reduction or finite_lab
+    path = SRC / "verification.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    local = {name for name in imported if name.startswith(".") or name.startswith("edrkit")}
+    assert local <= {".matrices", ".rings"}
