@@ -73,17 +73,14 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         ring = self.ring
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = ring._zero()
-                for k in range(self.cols):
-                    acc = ring._add(
-                        acc,
-                        ring._mul(self.entry(i, k).payload, other.entry(k, j).payload),
-                    )
-                out.append(RingElement(ring, acc))
-        return Matrix(ring, self.rows, other.cols, tuple(out))
+        if self.cols:
+            grid = ring._matmul(self.payload_grid(), other.payload_grid())
+        else:
+            # other has no rows, so its grid cannot say how wide it is
+            grid = [[ring._zero()] * other.cols for _ in range(self.rows)]
+        return Matrix(
+            ring, self.rows, other.cols, tuple(RingElement(ring, x) for row in grid for x in row)
+        )
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -125,10 +122,14 @@ def format_matrix(m: Matrix) -> str:
 
 def parse_matrix(ring: Ring, text: str) -> Matrix:
     lines = [line for line in text.splitlines()]
-    return _parse_matrix_lines(ring, lines, 0)[0]
+    return _parse_matrix_lines(ring, lines, 0, len(text))[0]
 
 
-def _parse_matrix_lines(ring: Ring, lines: list[str], start: int) -> tuple[Matrix, int]:
+def _parse_matrix_lines(
+    ring: Ring, lines: list[str], start: int, limit: int
+) -> tuple[Matrix, int]:
+    """The matrix whose header is the first nonblank line from start, and the
+    index of the line after it; limit is the length of the whole text."""
     idx = start
     while idx < len(lines) and not lines[idx].strip():
         idx += 1
@@ -139,6 +140,14 @@ def _parse_matrix_lines(ring: Ring, lines: list[str], start: int) -> tuple[Matri
     if len(header) != 2 or not all(tok.isascii() and tok.isdigit() for tok in header):
         raise RingParseError(f"bad matrix header {_excerpt(lines[idx])} on line {idx + 1}")
     rows, cols = _parse_int(header[0]), _parse_int(header[1])
+    # a nonempty matrix spends a line per row and a character per entry, so
+    # only an empty one can claim more; its identity P or Q would be N x N
+    for dim in (rows, cols):
+        if dim > limit:
+            raise RingParseError(
+                f"matrix dimension {_int_excerpt(dim)} on line {idx + 1} exceeds"
+                f" the {limit} characters of its text"
+            )
     idx += 1
     entries = []
     # a zero-width row is written as a blank line, which reads as no line
@@ -181,5 +190,5 @@ def parse_certificate(ring: Ring, text: str) -> ReductionCertificate:
         if idx >= len(lines) or lines[idx].strip() != name:
             raise RingParseError(f"expected block header {name!r} on line {idx + 1}")
         idx += 1
-        blocks[name], idx = _parse_matrix_lines(ring, lines, idx)
+        blocks[name], idx = _parse_matrix_lines(ring, lines, idx, len(text))
     return ReductionCertificate(blocks["P"], blocks["D"], blocks["Q"])

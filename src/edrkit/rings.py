@@ -16,7 +16,10 @@ GF(p)[x] multiplies by Kronecker substitution once the shorter operand has
 _KRONECKER_MIN_LEN coefficients: the coefficients are packed into slots of
 one integer per operand, and one integer product is unpacked and reduced
 modulo p.  Shorter operands, and pairs whose slots would need more than 8
-bytes (p above about 2^32), take the schoolbook loop.
+bytes (p above about 2^32), take the schoolbook loop.  A matrix product
+(Ring._matmul) sums each dot product as native ints: on Z directly, on
+GF(p)[x] over entries packed once into such slots; the finite carriers
+take the schoolbook loop.
 
 Elements are immutable and kept in canonical form, so structural equality
 coincides with ring equality.  All operations are pure; rings and elements
@@ -28,6 +31,7 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
+import operator
 import re
 import struct
 from abc import ABC, abstractmethod
@@ -135,6 +139,25 @@ class Ring(ABC):
     def _sub(self, x: Any, y: Any) -> Any:
         return self._add(x, self._neg(y))
 
+    def _matmul(self, left: list[list], right: list[list]) -> list[list]:
+        """The payload grid left * right, left m x k and right k x n.
+
+        A grid without rows carries no width, so for k = 0 this returns m
+        empty rows, not m x n zeros.  This default is the schoolbook loop.
+        """
+        add, mul, zero = self._add, self._mul, self._zero()
+        columns = list(zip(*right))
+        out = []
+        for row in left:
+            out_row = []
+            for col in columns:
+                acc = zero
+                for x, y in zip(row, col):
+                    acc = add(acc, mul(x, y))
+                out_row.append(acc)
+            out.append(out_row)
+        return out
+
     @abstractmethod
     def _sort_key(self, x: Any):
         """Total order key; fixes enumeration order and canonical choices."""
@@ -207,7 +230,8 @@ class Ring(ABC):
         return RingElement(self, self._one())
 
     def _check(self, a: RingElement) -> None:
-        if a.ring != self:
+        # identity first: the dataclass __eq__ compares field tuples
+        if a.ring is not self and a.ring != self:
             raise RingMismatchError(
                 f"element of {a.ring.spec()} used in {self.spec()}"
             )
@@ -395,8 +419,21 @@ class IntegerRing(EuclideanRing):
     def _neg(self, x):
         return -x
 
+    def _sub(self, x, y):
+        return x - y
+
     def _mul(self, x, y):
         return x * y
+
+    def _matmul(self, left, right):
+        columns = list(zip(*right))
+        return [[sum(map(operator.mul, row, col)) for col in columns] for row in left]
+
+    def _divides(self, x, y):
+        if not x:
+            return 0 if not y else None
+        q, r = divmod(y, x)
+        return None if r else q
 
     def _sort_key(self, x):
         return (abs(x), 0 if x >= 0 else 1)
@@ -557,6 +594,15 @@ _SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _KRONECKER_MIN_LEN = 6
 
 
+def _slot(bound: int) -> tuple[int, str] | None:
+    """(width, struct code) of the narrowest slot holding 0..bound, or None
+    when that needs more than 8 bytes."""
+    needed = max(1, (bound.bit_length() + 7) // 8)
+    width = 1 << (needed - 1).bit_length()
+    code = _SLOT_CODES.get(width)
+    return None if code is None else (width, code)
+
+
 def _pack(coeffs: tuple, code: str) -> int:
     """The integer whose little-endian slots of struct code hold coeffs."""
     data = bytes(coeffs) if code == "B" else struct.pack(f"<{len(coeffs)}{code}", *coeffs)
@@ -639,21 +685,51 @@ class PolynomialRing(EuclideanRing):
         if len(x) == 1:
             a = x[0]
             return tuple([a * c % p for c in y])
-        code = None
-        if len(x) >= _KRONECKER_MIN_LEN:
-            needed = (((p - 1) ** 2 * len(x)).bit_length() + 7) // 8
-            width = 1 << (needed - 1).bit_length()
-            code = _SLOT_CODES.get(width)
-        if code is None:
+        slot = _slot((p - 1) ** 2 * len(x)) if len(x) >= _KRONECKER_MIN_LEN else None
+        if slot is None:
             out = [0] * n
             for i, a in enumerate(x):
                 if a:
                     for j, b in enumerate(y, i):
                         out[j] = (out[j] + a * b) % p
             return tuple(out)
+        width, code = slot
         data = (_pack(x, code) * _pack(y, code)).to_bytes(n * width, "little")
         slots = data if code == "B" else struct.unpack(f"<{n}{code}", data)
         return tuple([c % p for c in slots])
+
+    def _matmul(self, left, right):
+        # Kronecker substitution on whole dot products: each entry is packed
+        # once and each sum of products is one native int expression.  A
+        # slot holds k * (p - 1)^2 * min(longest left, longest right entry).
+        columns = list(zip(*right))
+        p = self.p
+        shortest = min(
+            max(map(len, itertools.chain.from_iterable(left)), default=0),
+            max(map(len, itertools.chain.from_iterable(columns)), default=0),
+        )
+        if not shortest:
+            # every product is zero, and a zero bound gives slots too narrow
+            # for the other side's coefficients
+            return [[()] * len(columns) for _ in left]
+        slot = _slot(len(right) * (p - 1) ** 2 * shortest)
+        if slot is None:
+            return super()._matmul(left, right)
+        width, code = slot
+        bits = 8 * width
+        rows = [[_pack(x, code) for x in row] for row in left]
+        cols = [[_pack(y, code) for y in col] for col in columns]
+        out = []
+        for row in rows:
+            out_row = []
+            for col in cols:
+                total = sum(map(operator.mul, row, col))
+                n = -(-total.bit_length() // bits)
+                data = total.to_bytes(n * width, "little")
+                slots = data if code == "B" else struct.unpack(f"<{n}{code}", data)
+                out_row.append(_poly_trim([c % p for c in slots]))
+            out.append(out_row)
+        return out
 
     def _sort_key(self, x):
         return (len(x), x)

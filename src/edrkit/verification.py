@@ -1,11 +1,13 @@
 """Independent checking of diagonal-reduction certificates.
 
 Deliberately shares no matrix algebra with the producer: the product is
-recomputed with a plain triple loop, and determinants come from
-fraction-free Bareiss elimination over the integral domains Z and GF(p)[x]
-and from Berkowitz's division-free algorithm over the finite carriers,
-whose zero divisors rule out Bareiss's exact division.  Both are
-polynomial in the matrix size and exact over their rings.
+recomputed by the ring's own matrix-product kernel (Ring._matmul: native
+int sums on Z, dot products of Kronecker-packed entries on GF(p)[x], the
+schoolbook loop elsewhere), and determinants come from fraction-free
+Bareiss elimination over the integral domains Z and GF(p)[x] and from
+Berkowitz's division-free algorithm over the finite carriers, whose zero
+divisors rule out Bareiss's exact division.  Both are polynomial in the
+matrix size and exact over their rings.
 """
 
 from __future__ import annotations
@@ -21,11 +23,6 @@ from .rings import (
 
 class CertificateShapeError(ValueError):
     """Certificate block shapes do not fit the matrix being verified."""
-
-
-def _multiply(ring: Ring, left: list[list], right: list[list]) -> list[list]:
-    columns = list(zip(*right))
-    return [[_dot(ring, row, col) for col in columns] for row in left]
 
 
 def _dot(ring: Ring, xs, ys):
@@ -44,6 +41,7 @@ def _bareiss_determinant(ring: Ring, grid: list[list]):
     a = [list(row) for row in grid]
     n = len(a)
     zero, one = ring._zero(), ring._one()
+    sub, mul, divides = ring._sub, ring._mul, ring._divides
     sign, prev = one, one
     for k in range(n - 1):
         if a[k][k] == zero:
@@ -57,8 +55,7 @@ def _bareiss_determinant(ring: Ring, grid: list[list]):
             row_i = a[i]
             lead = row_i[k]
             for j in range(k + 1, n):
-                num = ring._sub(ring._mul(pivot, row_i[j]), ring._mul(lead, row_k[j]))
-                row_i[j] = ring._divides(prev, num)
+                row_i[j] = divides(prev, sub(mul(pivot, row_i[j]), mul(lead, row_k[j])))
         prev = pivot
     return ring._mul(sign, a[n - 1][n - 1]) if n else one
 
@@ -117,9 +114,7 @@ def check_certificate(ring: Ring, source: Matrix, cert: ReductionCertificate) ->
         raise CertificateShapeError(
             f"blocks {p.shape}/{d.shape}/{q.shape} do not fit a {source.shape} matrix"
         )
-    product = _multiply(
-        ring, _multiply(ring, p.payload_grid(), source.payload_grid()), q.payload_grid()
-    )
+    product = ring._matmul(ring._matmul(p.payload_grid(), source.payload_grid()), q.payload_grid())
     if product != d.payload_grid():
         return "product"
     for block in (p, q):

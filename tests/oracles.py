@@ -2,10 +2,10 @@
 
 These deliberately re-derive results with different algorithms than the
 package under test: determinantal divisors and determinants from raw minor
-expansion, polynomial arithmetic from schoolbook loops, Hermite completions
-from brute force over invertible 2x2 matrices, units, quotients and gcd
-certificates of finite rings from exhaustive search, primality from trial
-division.
+expansion, polynomial arithmetic and matrix products from schoolbook loops,
+Hermite completions from brute force over invertible 2x2 matrices, units,
+quotients and gcd certificates of finite rings from exhaustive search,
+primality from trial division.
 """
 
 import math
@@ -199,6 +199,29 @@ def laplace_determinant(ring, grid):
         return acc
 
     return expand(tuple(range(n)))
+
+
+# -- matrix products -------------------------------------------------------------
+
+
+def matmul(left, right, add, mul, zero):
+    """Schoolbook product of payload grids, one add(acc, mul(x, y)) per term.
+
+    Like the kernel, it reads the width off right's first row, so a k = 0
+    product has no columns.
+    """
+    k = len(right)
+    n = len(right[0]) if k else 0
+    out = []
+    for row in left:
+        out_row = []
+        for j in range(n):
+            acc = zero
+            for t in range(k):
+                acc = add(acc, mul(row[t], right[t][j]))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
 
 
 # -- a finite ring that is not a principal ideal ring ---------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from edrkit import IntegerRing, Matrix, parse_certificate
+from edrkit import IntegerRing, Matrix, RingParseError, parse_certificate, parse_matrix
 from edrkit.cli import main
 
 Z = IntegerRing()
@@ -223,6 +223,24 @@ def test_snf_and_verify_empty_shapes(tmp_path, shape):
     assert run_cli("snf", "Z", str(matrix), "--output", str(cert)) == (0, "")
     assert f"D\n{shape}\n" in cert.read_text(encoding="utf-8")
     assert run_cli("verify", "Z", str(matrix), str(cert)) == (0, "# edr-kit v1\nvalid\n")
+
+
+@pytest.mark.parametrize("header", ["0 400", "400 0"])
+def test_snf_refuses_an_empty_matrix_larger_than_its_text(tmp_path, header, default_int_str_limit, capsys):
+    # only a matrix without entries can claim more rows or columns than its
+    # text has characters, and its identity P or Q would be N x N
+    path = tmp_path / "m.txt"
+    path.write_text(header, encoding="utf-8")
+    assert run_cli("snf", "Z", str(path)) == (2, "")
+    err = capsys.readouterr().err
+    assert "matrix dimension 400 on line 1 exceeds the 5 characters" in err
+    assert parse_matrix(Z, "0 3") == Matrix(Z, 0, 3, ())
+    with pytest.raises(RingParseError, match="dimension 4 on line 1 exceeds the 3 characters"):
+        parse_matrix(Z, "0 4")
+    # a 5000-digit dimension is named by its first digits
+    with pytest.raises(RingParseError, match=r"\.\.\. \(5000 digits\)") as refused:
+        parse_matrix(Z, "0 " + "9" * 5000)
+    assert len(str(refused.value)) <= 200
 
 
 def test_snf_and_verify_past_the_int_str_digit_limit(tmp_path, default_int_str_limit):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -29,12 +30,13 @@ from edrkit import (
     quotient_ring,
     ring_parse,
 )
-from edrkit.rings import is_prime
+from edrkit.rings import Ring, _slot, is_prime
 
 from oracles import (
     brute_bezout,
     brute_divides,
     brute_unit_set,
+    matmul,
     p_add,
     p_divmod,
     p_gcd,
@@ -246,6 +248,126 @@ def test_poly_kernels_match_schoolbook_oracles(case):
     if y:
         assert ring._divmod(x, y) == p_divmod(x, y, p)
         assert ring._divmod(ring._mul(x, y), y) == (x, ())
+
+
+# Matrix products: Z sums natively; GF(p)[x] packs whole dot products into
+# 1-, 2-, 4- or 8-byte slots, or, past 8 bytes (p = 2^31 - 1 beyond a few
+# terms, 2^61 - 1 always), takes the schoolbook loop the finite carriers use.
+MATMUL_PRIMES = (2, 5, 251, 65537, 2**31 - 1, 2**61 - 1)
+Z12 = IntegerModRing(12)
+MATMUL_RINGS = (
+    Z,
+    *map(PolynomialRing, MATMUL_PRIMES),
+    Z12,
+    ProductRing(IntegerModRing(4), PolynomialQuotientRing(3, (1, 0, 1))),
+    QuotientRing(Z12, Z12.element(4)),
+)
+
+
+def _matmul_oracle(ring, left, right):
+    if isinstance(ring, IntegerRing):
+        return matmul(left, right, operator.add, operator.mul, 0)
+    if isinstance(ring, PolynomialRing):
+        p = ring.p
+        return matmul(left, right, lambda f, g: p_add(f, g, p), lambda f, g: p_mul(f, g, p), ())
+    return matmul(left, right, ring._add, ring._mul, ring._zero())
+
+
+@st.composite
+def _matmul_operands(draw):
+    ring = draw(st.sampled_from(MATMUL_RINGS))
+    if isinstance(ring, IntegerRing):
+        entries = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**300), 2**300))
+        neg = operator.neg
+    elif isinstance(ring, PolynomialRing):
+        p = ring.p
+        coeffs = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+        entries = st.one_of(st.just(()), st.lists(coeffs, max_size=10).map(p_trim))
+
+        def neg(f):
+            return p_neg(f, p)
+
+    else:
+        entries = st.sampled_from(sorted(ring._payloads, key=ring._sort_key))
+        neg = ring._neg
+    m, k, n = draw(st.tuples(*[st.integers(0, 6)] * 3))
+    left = [[draw(entries) for _ in range(k)] for _ in range(m)]
+    right = [[draw(entries) for _ in range(n)] for _ in range(k)]
+    if k >= 2 and draw(st.booleans()):
+        # the first two terms of every dot product cancel, all of it at k = 2
+        right[1] = list(right[0])
+        for row in left:
+            row[1] = neg(row[0])
+    return ring, left, right
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_matmul_operands())
+def test_matmul_matches_schoolbook_oracle(case):
+    ring, left, right = case
+    assert ring._matmul(left, right) == _matmul_oracle(ring, left, right)
+
+
+# Every coefficient is p - 1, so one slot of a 1 x k by k x 1 product of
+# entries of one length reaches k * (p - 1)^2 * length, the bound the slot
+# must hold; each pair of rows is the largest case at one width and the
+# least at the next (None: the schoolbook loop).
+@pytest.mark.parametrize(
+    "p, k, length, width",
+    [
+        (2, 255, 1, 1),
+        (2, 256, 1, 2),
+        (2, 1, 255, 1),
+        (2, 1, 256, 2),
+        (5, 4095, 1, 2),
+        (5, 4096, 1, 4),
+        (5, 63, 65, 2),
+        (5, 64, 64, 4),
+        (251, 68719, 1, 4),
+        (251, 68720, 1, 8),
+        (65537, 1, 1, 8),
+        (2**31 - 1, 4, 1, 8),
+        (2**31 - 1, 5, 1, None),
+    ],
+)
+def test_matmul_fills_slots_to_their_bound(p, k, length, width, monkeypatch):
+    ring = PolynomialRing(p)
+    entry = (p - 1,) * length
+    left, right = [[entry] * k], [[entry] for _ in range(k)]
+    slot = _slot(k * (p - 1) ** 2 * length)
+    assert (slot and slot[0]) == width
+    generic, fallbacks = Ring._matmul, []
+
+    def counted(self, left, right):
+        fallbacks.append(self)
+        return generic(self, left, right)
+
+    monkeypatch.setattr(Ring, "_matmul", counted)
+    assert ring._matmul(left, right) == _matmul_oracle(ring, left, right)
+    assert bool(fallbacks) == (width is None)
+
+
+@pytest.mark.parametrize("m, k, n", [(0, 0, 0), (2, 0, 3), (0, 2, 3), (2, 3, 0), (2, 3, 4)])
+def test_matrix_product_keeps_its_shape(m, k, n):
+    # an m x 0 by 0 x n product is the m x n zero matrix, though the right
+    # factor's empty grid cannot say how wide it is
+    rng = random.Random(f"matrix-product/{m}/{k}/{n}")
+    for ring in (Z, PolynomialRing(5), Z12):
+        elems = sorted(ring._payloads, key=ring._sort_key) if ring.finite else None
+
+        def entry():
+            if elems:
+                return rng.choice(elems)
+            return ring._canonical(rng.randint(-9, 9) if ring is Z else [rng.randrange(5), 1])
+
+        left = [[entry() for _ in range(k)] for _ in range(m)]
+        right = [[entry() for _ in range(n)] for _ in range(k)]
+        product = Matrix(ring, m, k, tuple(map(ring.element, sum(left, [])))) * Matrix(
+            ring, k, n, tuple(map(ring.element, sum(right, [])))
+        )
+        expected = _matmul_oracle(ring, left, right) if k else [[ring._zero()] * n] * m
+        assert product.shape == (m, n)
+        assert product.payload_grid() == expected
 
 
 @pytest.mark.parametrize("ring", sample_rings(), ids=lambda r: r.spec())
