@@ -12,7 +12,6 @@ from .rings import (
     PolynomialQuotientRing,
     PolynomialRing,
     ProductRing,
-    QuotientRing,
     Ring,
     RingElement,
     RingMismatchError,

@@ -359,13 +359,8 @@ def is_diadem_direct(
 
 
 @_per_ring
-def _quotient_by(ring: Ring, w) -> Ring:
-    return quotient_ring(ring, RingElement(ring, w))
-
-
-@_per_ring
 def _quotient_has_stable_range_1(ring: Ring, w) -> bool:
-    return check_stable_range_1(_quotient_by(ring, w), bound=None).holds
+    return check_stable_range_1(quotient_ring(ring, RingElement(ring, w)), bound=None).holds
 
 
 def is_diadem_via_quotient(
@@ -389,7 +384,7 @@ def is_diadem_via_quotient(
     ring._check(multiplier)
     w = ring._add(a.payload, ring._mul(b.payload, multiplier.payload))
     if ring.finite:
-        _require_finite(_quotient_by(ring, w), bound)
+        _require_finite(quotient_ring(ring, RingElement(ring, w)), bound)
         return _quotient_has_stable_range_1(ring, w)
     if not isinstance(ring, EuclideanRing):
         raise UnsupportedRingError(f"no quotient criterion on {ring.spec()}")
@@ -504,8 +499,8 @@ def find_coprime_splitting(c: int, a: int, b: int) -> CoprimeSplitting:
 
 
 def radical_quotient(ring: Ring) -> Ring:
-    """R/J(R), built by coset enumeration over a principal generator of the
-    Jacobson radical (all the finite carriers here are principal ideal rings)."""
+    """R/J(R), the quotient_ring by a principal generator of the Jacobson
+    radical (all the finite carriers here are principal ideal rings)."""
     rad = jacobson_radical(ring)
     members = frozenset(e.payload for e in rad.members)
     for g in ring._payloads:

@@ -1,8 +1,8 @@
 """Computable commutative rings with exact, certified arithmetic.
 
 Supported carriers: the integers Z, residue rings Z/n, polynomial rings
-GF(p)[x], their quotients GF(p)[x]/(f), quotients of finite rings by a
-principal ideal (built by coset enumeration), and finite products.
+GF(p)[x], their quotients GF(p)[x]/(f), and finite products.  quotient_ring
+builds every principal quotient of these as one of these.
 
 Z and GF(p)[x] subclass EuclideanRing, which supplies division with
 remainder, the extended gcd, unit inverses and canonical associates
@@ -172,9 +172,12 @@ class Ring(ABC):
     def _ideal_has_one(self, xs: tuple) -> bool:
         """Whether the ideal generated by the payloads is the whole ring."""
 
-    def _is_unit(self, x: Any) -> bool:
-        """This default searches a finite ring for an inverse."""
-        return self._divides(x, self._one()) is not None
+    @abstractmethod
+    def _is_unit(self, x: Any) -> bool: ...
+
+    @abstractmethod
+    def _divides(self, x: Any, y: Any) -> Any | None:
+        """The canonically least q with x*q = y, or None."""
 
     # -- finite enumeration (cached) -----------------------------------
 
@@ -270,36 +273,13 @@ class Ring(ABC):
         q = self._divides(a.payload, b.payload)
         return None if q is None else RingElement(self, q)
 
-    def _divides(self, x: Any, y: Any) -> Any | None:
-        for q in self._payloads:
-            if self._mul(x, q) == y:
-                return q
-        return None
-
     def _bezout(self, x: Any, y: Any) -> tuple:
-        """Payloads (g, u, v, a1, b1) of bezout_gcd; this default enumerates a
-        finite ring for the first generator g of xR + yR in canonical order,
-        the first pair (u, v) reaching it and the least quotients a1, b1."""
-        if not self.finite:
-            raise UnsupportedRingError(
-                f"bezout_gcd needs Z, GF(p)[x], or a finite ring, not {self.spec()}"
-            )
-        reach: dict = {}
-        for u in self._payloads:
-            for v in self._payloads:
-                reach.setdefault(self._add(self._mul(x, u), self._mul(y, v)), (u, v))
-        span = frozenset(reach)
-        g = next((c for c in self._payloads if self._principal(c) == span), None)
-        if g is None:
-            raise UnsupportedRingError(
-                f"aR + bR is not principal in {self.spec()}; cannot certify a gcd"
-            )
-        u, v = reach[g]
-        return g, u, v, self._divides(g, x), self._divides(g, y)
+        """Payloads (g, u, v, a1, b1) of bezout_gcd."""
+        raise UnsupportedRingError(f"bezout_gcd needs Z, GF(p)[x], or a finite ring, not {self}")
 
     def _quotient(self, x: Any) -> "Ring":
-        """The ring R/(x); this default enumerates the cosets of a finite ring."""
-        return QuotientRing(self, RingElement(self, x))
+        """The ring R/(x)."""
+        raise UnsupportedRingError(f"quotient_ring needs Z, GF(p)[x], or a finite ring, not {self}")
 
     def elements(self) -> Iterator[RingElement]:
         """All elements in canonical order (finite rings only)."""
@@ -508,8 +488,13 @@ def _parse_int(text: str) -> int:
     except ValueError:
         if not _INT_LITERAL.fullmatch(text):
             raise RingParseError(f"invalid integer literal {_excerpt(text)}") from None
-    # a valid literal past the interpreter's int/str digit limit
-    return int(decimal.Decimal(text))
+    # a valid literal past the interpreter's int/str digit limit: split and
+    # combine halves until int() takes them, where decimal.Decimal's
+    # conversion would take time quadratic in the length
+    digits = text.lstrip("+-").replace("_", "")
+    k = len(digits) // 2
+    value = _parse_int(digits[:-k]) * 10**k + _parse_int(digits[-k:])
+    return -value if text[0] == "-" else value
 
 
 def _format_int(x: int) -> str:
@@ -872,6 +857,10 @@ class EuclideanQuotientRing(Ring):
         v = self._divides(y, self._sub(g, self._mul(x, u)))
         return g, u, v, self._divides(g, x), self._divides(g, y)
 
+    def _quotient(self, x):
+        # the least coset representatives are the payloads mod gcd(x, m)
+        return self.base._quotient(self.base._ext_gcd(x, self.modulus)[0])
+
 
 class IntegerModRing(EuclideanQuotientRing):
     """Residues modulo n, with canonical representatives in [0, n).
@@ -922,96 +911,6 @@ class PolynomialQuotientRing(EuclideanQuotientRing):
 
     def _all_payloads(self):
         return itertools.islice(_poly_payloads(self.base.p), self.cardinality)
-
-
-# ---------------------------------------------------------------------------
-# Quotient of a finite ring by a principal ideal (coset enumeration)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuotientRing(Ring):
-    """base/(modulus) realized by coset enumeration over a finite base.
-
-    Payloads are the canonically least representatives of the cosets.
-    """
-
-    base: Ring
-    modulus: RingElement
-
-    def __post_init__(self):
-        if not self.base.finite:
-            raise UnsupportedRingError(
-                "coset-enumeration quotients need a finite base ring"
-            )
-        self.base._check(self.modulus)
-
-    @property
-    def finite(self) -> bool:
-        return True
-
-    @property
-    def _ideal(self) -> frozenset:
-        return self.base._principal(self.modulus.payload)
-
-    @cached_property
-    def _rep_map(self) -> dict:
-        reps: dict = {}
-        for x in self.base._payloads:  # canonical order: first hit is least
-            if x in reps:
-                continue
-            for i in self._ideal:
-                reps[self.base._add(x, i)] = x
-        return reps
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.base._payloads) // len(self._ideal)
-
-    def spec(self) -> str:
-        return f"{self.base.spec()}/({self.base._format(self.modulus.payload)})"
-
-    def _canonical(self, value):
-        if isinstance(value, RingElement) and value.ring == self:
-            return value.payload
-        if isinstance(value, RingElement) and value.ring == self.base:
-            return self._rep_map[value.payload]
-        return self._rep_map[self.base._canonical(value)]
-
-    def _zero(self):
-        return self._rep_map[self.base._zero()]
-
-    def _one(self):
-        return self._rep_map[self.base._one()]
-
-    def _add(self, x, y):
-        return self._rep_map[self.base._add(x, y)]
-
-    def _neg(self, x):
-        return self._rep_map[self.base._neg(x)]
-
-    def _mul(self, x, y):
-        return self._rep_map[self.base._mul(x, y)]
-
-    def _sort_key(self, x):
-        return self.base._sort_key(x)
-
-    def _format(self, x):
-        return self.base._format(x)
-
-    def _parse(self, text):
-        return self._rep_map[self.base._parse(text)]
-
-    def _all_payloads(self):
-        return set(self._rep_map.values())
-
-    def _ideal_has_one(self, xs):
-        return self.base._ideal_has_one(xs + (self.modulus.payload,))
-
-    def project(self, a: RingElement) -> RingElement:
-        """Image of a base-ring element under the quotient map."""
-        self.base._check(a)
-        return RingElement(self, self._rep_map[a.payload])
 
 
 # ---------------------------------------------------------------------------
@@ -1103,6 +1002,12 @@ class ProductRing(Ring):
             return super()._bezout(x, y)
         return tuple(zip(self.left._bezout(x[0], y[0]), self.right._bezout(x[1], y[1])))
 
+    def _quotient(self, x):
+        # least coset representatives are pairs of least representatives
+        if not self.finite:
+            return super()._quotient(x)
+        return ProductRing(self.left._quotient(x[0]), self.right._quotient(x[1]))
+
     def _all_payloads(self):
         return itertools.product(self.left._payloads, self.right._payloads)
 
@@ -1147,10 +1052,9 @@ def bezout_gcd(ring: Ring, a: RingElement, b: RingElement) -> BezoutCertificate:
 
     Over Z the gcd is nonnegative; over GF(p)[x] it is monic or zero.  On
     finite rings g is the first generator of aR + bR in canonical order,
-    solved from the base ring's extended gcd on Z/n and GF(p)[x]/(f),
-    componentwise on products and searched for elsewhere; if none exists
-    the ring is not a Bezout carrier and the failure is reported rather
-    than approximated.
+    solved from the base ring's extended gcd on Z/n and GF(p)[x]/(f) and
+    componentwise on products.  Any other ring raises UnsupportedRingError
+    rather than approximating a gcd.
     """
     ring._check(a)
     ring._check(b)
@@ -1163,11 +1067,13 @@ def bezout_gcd(ring: Ring, a: RingElement, b: RingElement) -> BezoutCertificate:
 
 
 def quotient_ring(ring: Ring, c: RingElement) -> Ring:
-    """The quotient ring/(c).
+    """The quotient ring/(c), the one public quotient constructor.
 
     Z/(c) is realized as Z/|c| (Z itself for c = 0); GF(p)[x]/(f) as the
-    monic polynomial quotient (GF(p)[x] for f = 0); finite rings by coset
-    enumeration.  Quotients by a unit give the flagged zero ring.
+    monic polynomial quotient (GF(p)[x] for f = 0); base/(m) by c as
+    base/(gcd(c, m)); finite products componentwise.  Payloads are the least
+    coset representatives, so q.element(a.payload) projects a.  Quotients
+    by a unit give the flagged zero ring.
     """
     ring._check(c)
     return ring._quotient(c.payload)

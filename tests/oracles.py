@@ -9,9 +9,11 @@ primality from trial division.
 """
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 
-from edrkit.rings import Ring
+from edrkit.rings import Ring, RingElement, UnsupportedRingError
 
 
 # -- integer determinantal divisors -----------------------------------------
@@ -224,10 +226,29 @@ def matmul(left, right, add, mul, zero):
     return out
 
 
-# -- a finite ring that is not a principal ideal ring ---------------------------
+# -- finite rings answered by exhaustive search --------------------------------
 
 
-class LocalNonPrincipalRing(Ring):
+class ExhaustiveRing(Ring):
+    """A finite ring whose units, divisibility and gcd certificates come
+    from exhaustive search."""
+
+    finite = True
+
+    def _is_unit(self, x):
+        return brute_divides(self, x, self._one()) is not None
+
+    def _divides(self, x, y):
+        return brute_divides(self, x, y)
+
+    def _bezout(self, x, y):
+        got = brute_bezout(self, x, y)
+        if got is None:
+            raise UnsupportedRingError(f"aR + bR is not principal in {self.spec()}")
+        return got
+
+
+class LocalNonPrincipalRing(ExhaustiveRing):
     """GF(2)[x,y]/(x,y)^2: payload (c0, c1, c2) is c0 + c1*x + c2*y.
 
     Eight elements, local with maximal ideal (x, y), which is not principal,
@@ -235,7 +256,6 @@ class LocalNonPrincipalRing(Ring):
     satisfies it.
     """
 
-    finite = True
     cardinality = 8
 
     def spec(self):
@@ -273,6 +293,76 @@ class LocalNonPrincipalRing(Ring):
 
     def _ideal_has_one(self, xs):
         return any(x[0] for x in xs)  # local: comaximal iff some generator is a unit
+
+
+@dataclass(frozen=True)
+class CosetQuotientRing(ExhaustiveRing):
+    """base/(modulus) of a finite base ring, realized by enumerating the cosets.
+
+    Payloads are the canonically least representatives of the cosets.  The
+    reference for the structural quotients quotient_ring builds.
+    """
+
+    base: Ring
+    modulus: RingElement
+
+    def __post_init__(self):
+        if not self.base.finite:
+            raise UnsupportedRingError("coset-enumeration quotients need a finite base ring")
+        self.base._check(self.modulus)
+
+    @cached_property
+    def _rep_map(self):
+        ideal = self.base._principal(self.modulus.payload)
+        reps = {}
+        for x in self.base._payloads:  # canonical order: first hit is least
+            if x not in reps:
+                for i in ideal:
+                    reps[self.base._add(x, i)] = x
+        return reps
+
+    @property
+    def cardinality(self):
+        return len(self._all_payloads())
+
+    def spec(self):
+        return f"{self.base.spec()}/({self.base._format(self.modulus.payload)})"
+
+    def _canonical(self, value):
+        if isinstance(value, RingElement):
+            self._check(value)
+            return value.payload
+        return self._rep_map[self.base._canonical(value)]
+
+    def _zero(self):
+        return self._rep_map[self.base._zero()]
+
+    def _one(self):
+        return self._rep_map[self.base._one()]
+
+    def _add(self, x, y):
+        return self._rep_map[self.base._add(x, y)]
+
+    def _neg(self, x):
+        return self._rep_map[self.base._neg(x)]
+
+    def _mul(self, x, y):
+        return self._rep_map[self.base._mul(x, y)]
+
+    def _sort_key(self, x):
+        return self.base._sort_key(x)
+
+    def _format(self, x):
+        return self.base._format(x)
+
+    def _parse(self, text):
+        return self._rep_map[self.base._parse(text)]
+
+    def _all_payloads(self):
+        return set(self._rep_map.values())
+
+    def _ideal_has_one(self, xs):
+        return self.base._ideal_has_one(xs + (self.modulus.payload,))
 
 
 # -- misc ---------------------------------------------------------------------

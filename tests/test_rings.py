@@ -1,7 +1,9 @@
+import decimal
 import itertools
 import math
 import operator
 import random
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,11 +19,11 @@ from edrkit import (
     PolynomialQuotientRing,
     PolynomialRing,
     ProductRing,
-    QuotientRing,
     ReductionCertificate,
     RingElement,
     RingMismatchError,
     RingParseError,
+    UnsupportedRingError,
     annihilator,
     bezout_gcd,
     check_certificate,
@@ -30,9 +32,11 @@ from edrkit import (
     quotient_ring,
     ring_parse,
 )
-from edrkit.rings import Ring, _slot, is_prime
+from edrkit.finite_lab import CHECKERS
+from edrkit.rings import Ring, _format_int, _parse_int, _slot, is_prime
 
 from oracles import (
+    CosetQuotientRing,
     brute_bezout,
     brute_divides,
     brute_unit_set,
@@ -58,7 +62,7 @@ def sample_rings():
         ProductRing(IntegerModRing(4), IntegerModRing(9)),
         PolynomialQuotientRing(2, (0, 0, 1)),
         PolynomialQuotientRing(2, (1, 1, 1)),
-        QuotientRing(IntegerModRing(12), IntegerModRing(12).element(4)),
+        CosetQuotientRing(IntegerModRing(12), IntegerModRing(12).element(4)),
     ]
 
 
@@ -121,6 +125,20 @@ def test_integer_literals_past_the_int_str_digit_limit(default_int_str_limit):
     for bad in ("1" * 5000 + "x", "1" * 5000 + "_", "-" + "1__0" * 1250, "1" * 5000 + ".0"):
         with pytest.raises(RingParseError, match="invalid integer literal"):
             Z.parse_element(bad)
+
+
+@pytest.mark.parametrize("length", [5000, 200_000])
+def test_long_integer_literals_split_and_combine(length, default_int_str_limit):
+    # decimal.Decimal's quadratic conversion is the reference
+    rng = random.Random(length)
+    digits = str(rng.randrange(1, 10)) + "".join(rng.choices("0123456789", k=length - 1))
+    grouped = "_".join(digits[i : i + 3] for i in range(0, length, 3))
+    value = int(decimal.Decimal("-" + grouped))
+    assert _parse_int(" -" + grouped) == value
+    assert _parse_int("+" + grouped) == _parse_int(grouped) == -value
+    assert _format_int(value) == "-" + digits
+    sys.set_int_max_str_digits(640)  # the least limit CPython allows
+    assert _parse_int(grouped) == -value
 
 
 def test_long_literals_parse_everywhere(default_int_str_limit):
@@ -260,7 +278,7 @@ MATMUL_RINGS = (
     *map(PolynomialRing, MATMUL_PRIMES),
     Z12,
     ProductRing(IntegerModRing(4), PolynomialQuotientRing(3, (1, 0, 1))),
-    QuotientRing(Z12, Z12.element(4)),
+    CosetQuotientRing(Z12, Z12.element(4)),
 )
 
 
@@ -646,7 +664,7 @@ _SMALL_FACTORS = [
     IntegerModRing(6),
     IntegerModRing(1),
     PolynomialQuotientRing(2, (0, 0, 1)),
-    QuotientRing(IntegerModRing(12), IntegerModRing(12).element(4)),
+    CosetQuotientRing(IntegerModRing(12), IntegerModRing(12).element(4)),
     ProductRing(IntegerModRing(2), IntegerModRing(3)),
 ]
 
@@ -726,6 +744,15 @@ def test_large_quotients_answer_without_enumerating(ring, no_enumeration):
         assert check_certificate(ring, d, ReductionCertificate(eye, d, eye)) is None
         wrong = Matrix(ring, 2, 2, (a, ring.zero, ring.zero, a * b + ring.one))
         assert check_certificate(ring, wrong, ReductionCertificate(eye, d, eye)) == "product"
+    # a quotient's size, units and divisibility come from the modulus's gcd
+    for a in (ring.zero, elems[0], ring.one):
+        q = quotient_ring(ring, a)
+        image = q.element(a.payload)
+        assert ring.cardinality % q.cardinality == 0
+        assert q.is_unit(q.one) and q.is_unit(q.zero) == q.is_zero_ring
+        assert q.divides(image, q.zero) == q.zero and q.divides(q.one, image) == q.zero
+    assert quotient_ring(ring, ring.zero) == ring
+    assert quotient_ring(ring, ring.one).is_zero_ring
 
 
 # -- quotients -------------------------------------------------------------------
@@ -737,12 +764,6 @@ def test_quotient_examples():
     r = IntegerModRing(12)
     q = quotient_ring(r, r.element(4))
     assert q.cardinality == 4
-
-
-def test_coset_quotient_shares_the_base_rings_principal_ideal():
-    r = IntegerModRing(12)
-    q = QuotientRing(r, r.element(4))
-    assert q._ideal is r._principal(4) is r._memo[4]
 
 
 def test_quotient_of_z_by_zero_is_z():
@@ -786,6 +807,72 @@ def test_quotient_of_polynomial_ring():
     assert set(q._payloads) == {(), (1,), (0, 1), (1, 1)}
     assert quotient_ring(g, g.element([1])).is_zero_ring
     assert quotient_ring(g, g.element([])) == g
+
+
+def _quotient_bases():
+    """Finite rings whose quotients by each element are checked against the
+    coset enumeration; the last one is itself a quotient."""
+    r36 = IntegerModRing(36)
+    return [
+        *(IntegerModRing(n) for n in (1, 2, 4, 6, 8, 9, 12, 16, 18, 25, 27, 30)),
+        PolynomialQuotientRing(2, (0, 0, 1)),
+        PolynomialQuotientRing(2, (1, 1, 0, 1)),
+        PolynomialQuotientRing(3, (0, 0, 1)),
+        PolynomialQuotientRing(3, (1, 0, 1)),
+        ring_parse("Z/4 x Z/9"),
+        ring_parse("Z/6 x Z/4"),
+        ring_parse("Z/2 x GF(2)[x]/(0,1,1)"),
+        ring_parse("Z/2 x Z/2 x Z/3"),
+        quotient_ring(r36, r36.element(6)),
+    ]
+
+
+QUOTIENT_CASES = [(ring, x) for ring in _quotient_bases() for x in ring._payloads]
+
+
+def _factors(ring):
+    if isinstance(ring, ProductRing):
+        return _factors(ring.left) + _factors(ring.right)
+    return [ring]
+
+
+def _report_digest(report):
+    labelled = report.counterexample and tuple((k, e.payload) for k, e in report.counterexample)
+    return report.holds, labelled, report.checked
+
+
+def test_quotients_match_coset_enumeration():
+    assert len(QUOTIENT_CASES) == 274
+    for base, x in QUOTIENT_CASES:
+        q = quotient_ring(base, RingElement(base, x))
+        oracle = CosetQuotientRing(base, RingElement(base, x))
+        where = (base.spec(), x)
+        assert q.cardinality == oracle.cardinality, where
+        assert q._payloads == oracle._payloads, where
+        elems = q._payloads
+        for y in elems:
+            assert [q._add(y, z) for z in elems] == [oracle._add(y, z) for z in elems], where
+            assert [q._mul(y, z) for z in elems] == [oracle._mul(y, z) for z in elems], where
+        assert q._unit_set == oracle._unit_set, where
+        for y, z in _pairs(q, 16, 40):
+            assert q._divides(y, z) == oracle._divides(y, z), where
+            assert q._bezout(y, z) == oracle._bezout(y, z), where
+        if q.cardinality <= 16:
+            for checker in CHECKERS.values():
+                got, want = checker(q, bound=None), checker(oracle, bound=None)
+                assert _report_digest(got) == _report_digest(want), (where, got.line())
+
+
+def test_quotient_specs_parse_back():
+    # ring_parse rejects Z/1, so rings with a zero factor have no literal
+    for base, x in QUOTIENT_CASES:
+        q = quotient_ring(base, RingElement(base, x))
+        if not any(f.is_zero_ring for f in _factors(q)):
+            assert ring_parse(q.spec()) == q, (base.spec(), x)
+    assert ring_parse(quotient_ring(Z12, Z12.element(4)).spec()) == IntegerModRing(4)
+    zz = ProductRing(Z, Z)
+    with pytest.raises(UnsupportedRingError):
+        quotient_ring(zz, zz.element((2, 3)))
 
 
 # -- radical and annihilator -------------------------------------------------------
