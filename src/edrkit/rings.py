@@ -11,6 +11,11 @@ certifies gcds through it, never through either carrier's payload format.
 Z/n and GF(p)[x]/(f) subclass EuclideanQuotientRing, which derives units,
 divisibility and gcd certificates from the base ring's extended gcd, so
 none of them enumerates the ring; a product takes them componentwise.
+Finite rings answer through that structure as well: every carrier yields
+its payloads in canonical order (no sort), ideal_span folds the
+generators' gcds into one principal generator, and the determinant
+(Ring._det) is Bareiss elimination on Z and GF(p)[x], the base ring's
+determinant reduced mod m on a quotient, and a pair on a product.
 
 GF(p)[x] multiplies by Kronecker substitution once the shorter operand has
 _KRONECKER_MIN_LEN coefficients: the coefficients are packed into slots of
@@ -36,7 +41,7 @@ import re
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Any, Iterator
 
 
@@ -111,7 +116,12 @@ class Ring(ABC):
 
     @abstractmethod
     def spec(self) -> str:
-        """Ring literal in the grammar accepted by ring_parse."""
+        """Ring literal in the grammar accepted by ring_parse.
+
+        The zero ring has no literal: ring_parse refuses a modulus that is a
+        unit (Z/1, GF(p)[x]/(c) for a constant c), so the spec of a zero
+        ring, or of a product with a zero-ring factor, does not parse back.
+        """
 
     def __str__(self) -> str:
         return self.spec()
@@ -159,8 +169,13 @@ class Ring(ABC):
         return out
 
     @abstractmethod
+    def _det(self, grid: list[list]) -> Any:
+        """The determinant of the square payload grid; one for a 0 x 0 grid."""
+
+    @abstractmethod
     def _sort_key(self, x: Any):
-        """Total order key; fixes enumeration order and canonical choices."""
+        """Total order key: the canonical order, in which _enumerate_payloads
+        yields the payloads and canonical choices are made."""
 
     @abstractmethod
     def _format(self, x: Any) -> str: ...
@@ -181,14 +196,15 @@ class Ring(ABC):
 
     # -- finite enumeration (cached) -----------------------------------
 
+    @abstractmethod
+    def _enumerate_payloads(self) -> Iterator[Any]:
+        """All payloads in canonical order; infinite rings yield forever."""
+
     @cached_property
     def _payloads(self) -> tuple:
         if not self.finite:
             raise InfiniteRingError(f"{self.spec()} is infinite")
-        return tuple(sorted(self._all_payloads(), key=self._sort_key))
-
-    def _all_payloads(self) -> Iterator[Any]:
-        raise InfiniteRingError(f"{self.spec()} is infinite")
+        return tuple(self._enumerate_payloads())
 
     @cached_property
     def _unit_set(self) -> frozenset:
@@ -213,10 +229,6 @@ class Ring(ABC):
             got = frozenset(self._mul(x, r) for r in self._payloads)
             memo[x] = got
         return got
-
-    def _enumerate_payloads(self) -> Iterator[Any]:
-        """All payloads in canonical order; infinite rings yield forever."""
-        return iter(self._payloads)
 
     # -- public element API --------------------------------------------
 
@@ -366,6 +378,33 @@ class EuclideanRing(Ring):
             g = self._ext_gcd(g, x)[0]
         return self._is_unit(g)
 
+    def _det(self, grid):
+        """Fraction-free Gaussian elimination (Bareiss 1968).
+
+        Every division by the previous pivot is exact in an integral domain, so
+        intermediate entries stay minors of the input: O(n^3) ring operations.
+        """
+        a = [list(row) for row in grid]
+        n = len(a)
+        zero, one = self._zero(), self._one()
+        sub, mul, divides = self._sub, self._mul, self._divides
+        sign, prev = one, one
+        for k in range(n - 1):
+            if a[k][k] == zero:
+                swap = next((i for i in range(k + 1, n) if a[i][k] != zero), None)
+                if swap is None:
+                    return zero
+                a[k], a[swap] = a[swap], a[k]
+                sign = self._neg(sign)
+            pivot, row_k = a[k][k], a[k]
+            for i in range(k + 1, n):
+                row_i = a[i]
+                lead = row_i[k]
+                for j in range(k + 1, n):
+                    row_i[j] = divides(prev, sub(mul(pivot, row_i[j]), mul(lead, row_k[j])))
+            prev = pivot
+        return self._mul(sign, a[n - 1][n - 1]) if n else one
+
 
 # ---------------------------------------------------------------------------
 # Integers
@@ -497,16 +536,44 @@ def _parse_int(text: str) -> int:
     return -value if text[0] == "-" else value
 
 
+# _format_int converts binary pieces of at most this many bits with Decimal(int)
+_DECIMAL_LEAF_BITS = 128
+
+
 def _format_int(x: int) -> str:
+    """The one integer formatter: str(x) at any length."""
     try:
         return str(x)
     except ValueError:
-        # past the interpreter's int/str digit limit, which decimal ignores
-        return str(decimal.Decimal(x))
+        pass
+    # past the interpreter's int/str digit limit, which decimal ignores: split
+    # |x| in binary halves and combine lo + hi * 2^k in decimal, where
+    # libmpdec multiplies in subquadratic time (the method of CPython 3.12's
+    # _pylong.int_to_decimal_string); str(Decimal(x)) is quadratic
+    @cache
+    def power(k):
+        if k <= _DECIMAL_LEAF_BITS:
+            return decimal.Decimal(1 << k)
+        return power(k >> 1) * power(k - (k >> 1))
+
+    def convert(n, bits):
+        if bits <= _DECIMAL_LEAF_BITS:
+            return decimal.Decimal(n)
+        half = bits >> 1
+        hi = n >> half
+        return convert(n - (hi << half), half) + convert(hi, bits - half) * power(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(convert(abs(x), abs(x).bit_length()))
+    return "-" + digits if x < 0 else digits
 
 
-# past this many bits a message names an int by a power of two: decimal
-# conversion takes time quadratic in the length (845,099 digits took 15.8 s)
+# past this many bits a message names an int by a power of two, so an error
+# message never pays for a long decimal conversion (845,099 digits take about
+# 0.45 s in _format_int)
 _FORMAT_BITS = 1 << 16
 
 
@@ -861,6 +928,10 @@ class EuclideanQuotientRing(Ring):
         # the least coset representatives are the payloads mod gcd(x, m)
         return self.base._quotient(self.base._ext_gcd(x, self.modulus)[0])
 
+    def _det(self, grid):
+        # reduction mod m is a ring map, so it commutes with the determinant
+        return self._reduce(self.base._det(grid))
+
 
 class IntegerModRing(EuclideanQuotientRing):
     """Residues modulo n, with canonical representatives in [0, n).
@@ -892,7 +963,7 @@ class IntegerModRing(EuclideanQuotientRing):
     def _mul(self, x, y):
         return (x * y) % self.modulus
 
-    def _all_payloads(self):
+    def _enumerate_payloads(self):
         return range(self.modulus)
 
 
@@ -909,7 +980,7 @@ class PolynomialQuotientRing(EuclideanQuotientRing):
     def spec(self) -> str:
         return f"GF({self.base.p})[x]/({self.base._format(self.modulus)})"
 
-    def _all_payloads(self):
+    def _enumerate_payloads(self):
         return itertools.islice(_poly_payloads(self.base.p), self.cardinality)
 
 
@@ -1008,7 +1079,14 @@ class ProductRing(Ring):
             return super()._quotient(x)
         return ProductRing(self.left._quotient(x[0]), self.right._quotient(x[1]))
 
-    def _all_payloads(self):
+    def _det(self, grid):
+        return (
+            self.left._det([[x[0] for x in row] for row in grid]),
+            self.right._det([[x[1] for x in row] for row in grid]),
+        )
+
+    def _enumerate_payloads(self):
+        # the canonical order compares the left component first
         return itertools.product(self.left._payloads, self.right._payloads)
 
     def _ideal_has_one(self, xs):
@@ -1033,18 +1111,20 @@ class BezoutCertificate:
     b1: RingElement
 
 
+def _generator(ring: Ring, payloads) -> Any:
+    """A generator of the ideal the payloads generate, folded through _bezout:
+    every ideal of the finite carriers is principal."""
+    g = ring._zero()
+    for x in payloads:
+        g = ring._bezout(g, x)[0]
+    return g
+
+
 def ideal_span(ring: Ring, payloads: tuple) -> frozenset:
     """The ideal generated by the payloads in a finite ring, as a payload set."""
     if not ring.finite:
         raise InfiniteRingError(f"{ring.spec()} is infinite")
-    span = {ring._zero()}
-    for g in payloads:
-        step = set()
-        for s in span:
-            for r in ring._payloads:
-                step.add(ring._add(s, ring._mul(g, r)))
-        span = step
-    return frozenset(span)
+    return ring._principal(_generator(ring, payloads))
 
 
 def bezout_gcd(ring: Ring, a: RingElement, b: RingElement) -> BezoutCertificate:
@@ -1184,6 +1264,9 @@ def _parse_ring_atom(text: str, pos: int) -> Ring:
                 raise RingParseError(str(exc), coeff_pos) from None
             if not coeffs:
                 raise RingParseError("zero modulus polynomial", coeff_pos)
+            if len(coeffs) == 1:
+                # a constant is a unit: the zero ring has no literal
+                raise RingParseError("modulus polynomial must have positive degree", coeff_pos)
             return PolynomialQuotientRing(p, coeffs)
         raise RingParseError(f"invalid ring literal {_excerpt(stripped)}", pos)
     raise RingParseError(f"invalid ring literal {_excerpt(stripped)}", pos)

@@ -2,10 +2,11 @@
 
 These deliberately re-derive results with different algorithms than the
 package under test: determinantal divisors and determinants from raw minor
-expansion, polynomial arithmetic and matrix products from schoolbook loops,
-Hermite completions from brute force over invertible 2x2 matrices, units,
-quotients and gcd certificates of finite rings from exhaustive search,
-primality from trial division.
+expansion and from Berkowitz's division-free algorithm, polynomial
+arithmetic and matrix products from schoolbook loops, Hermite completions
+from brute force over invertible 2x2 matrices, units, quotients, ideals and
+gcd certificates of finite rings from exhaustive search, primality from
+trial division.
 """
 
 import math
@@ -13,7 +14,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 
-from edrkit.rings import Ring, RingElement, UnsupportedRingError
+from edrkit.rings import (
+    Ring,
+    RingElement,
+    UnsupportedRingError,
+    jacobson_radical,
+    quotient_ring,
+)
 
 
 # -- integer determinantal divisors -----------------------------------------
@@ -203,6 +210,37 @@ def laplace_determinant(ring, grid):
     return expand(tuple(range(n)))
 
 
+def _dot(ring, xs, ys):
+    acc = ring._zero()
+    for x, y in zip(xs, ys):
+        acc = ring._add(acc, ring._mul(x, y))
+    return acc
+
+
+def berkowitz_determinant(ring, grid):
+    """Division-free determinant (Berkowitz 1984), exact in any commutative ring.
+
+    Builds the characteristic polynomial of the trailing principal
+    submatrices from the bottom-right corner outwards: splitting the block
+    at row r as [[a, R], [C, A]], the new coefficients are the old ones
+    times the lower-triangular Toeplitz matrix of 1, -a, -R*C, -R*A*C, ...
+    O(n^4) ring operations and no division, so zero divisors do no harm.
+    """
+    n = len(grid)
+    one = ring._one()
+    coeffs = [one]  # det(t*I - M), leading coefficient first, M empty
+    for r in range(n - 1, -1, -1):
+        row = grid[r][r + 1 :]
+        vec = [grid[i][r] for i in range(r + 1, n)]
+        toeplitz = [one, ring._neg(grid[r][r])]
+        for k in range(n - r - 1):
+            if k:
+                vec = [_dot(ring, grid[i][r + 1 :], vec) for i in range(r + 1, n)]
+            toeplitz.append(ring._neg(_dot(ring, row, vec)))
+        coeffs = [_dot(ring, toeplitz[i::-1], coeffs) for i in range(len(toeplitz))]
+    return ring._neg(coeffs[n]) if n % 2 else coeffs[n]
+
+
 # -- matrix products -------------------------------------------------------------
 
 
@@ -231,9 +269,16 @@ def matmul(left, right, add, mul, zero):
 
 class ExhaustiveRing(Ring):
     """A finite ring whose units, divisibility and gcd certificates come
-    from exhaustive search."""
+    from exhaustive search, whose enumeration sorts _all_payloads, and whose
+    determinant is Berkowitz's."""
 
     finite = True
+
+    def _enumerate_payloads(self):
+        return sorted(self._all_payloads(), key=self._sort_key)
+
+    def _det(self, grid):
+        return berkowitz_determinant(self, grid)
 
     def _is_unit(self, x):
         return brute_divides(self, x, self._one()) is not None
@@ -419,6 +464,25 @@ def brute_unit_set(ring):
     one = ring._one()
     elems = ring._payloads
     return frozenset(x for x in elems if any(ring._mul(x, y) == one for y in elems))
+
+
+def brute_ideal_span(ring, payloads):
+    """The ideal generated by the payloads, by breadth-first closure: each
+    generator g takes the span S to {s + g*r : s in S, r in R}."""
+    span = {ring._zero()}
+    for g in payloads:
+        span = {ring._add(s, ring._mul(g, r)) for s in span for r in ring._payloads}
+    return frozenset(span)
+
+
+def first_generator_radical_quotient(ring):
+    """R/J(R) as quotient_ring by the first payload in canonical order whose
+    principal ideal is the Jacobson radical, found by enumeration."""
+    members = frozenset(e.payload for e in jacobson_radical(ring).members)
+    for g in ring._payloads:
+        if frozenset(ring._mul(g, r) for r in ring._payloads) == members:
+            return quotient_ring(ring, RingElement(ring, g))
+    raise UnsupportedRingError(f"Jacobson radical of {ring.spec()} is not principal")
 
 
 def brute_divides(ring, x, y):

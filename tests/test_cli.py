@@ -1,5 +1,7 @@
 import io
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -370,6 +372,59 @@ def test_exit_codes_on_fuzzed_invocations(tmp_path):
     for argv in invocations:
         code = main(argv, out=io.StringIO())
         assert code in (1, 2), argv
+
+
+# the malformed argv shapes of perfbench's cli workload (perfbench/workloads.py)
+MALFORMED_ARGV = [
+    ["snf"],
+    ["check", "Z/12", "no-such-property-7"],
+    ["diadem", "Q", "7", "1"],
+    ["witness", "Z", "1", "x7", "2"],
+    ["frobnicate-7"],
+    ["check", "Z/0", "all"],
+    ["check", "Z/1", "all"],
+]
+
+CHECK_Z12_ALL = """# edr-kit v1
+property=stable-range-1 ring=Z/12 holds=true checked=144
+property=stable-range-2 ring=Z/12 holds=true checked=1728
+property=idempotent-stable-range-1 ring=Z/12 holds=true checked=144
+property=clean ring=Z/12 holds=true checked=12
+property=exchange ring=Z/12 holds=true checked=144
+property=gelfand ring=Z/12 holds=true checked=12
+property=hermite ring=Z/12 holds=true checked=144
+property=dyadic-range-1 ring=Z/12 holds=true checked=144
+"""
+
+
+def test_benchmark_cli_contract(capsys):
+    # exit 2 and nothing on stdout for every malformed shape
+    for argv in MALFORMED_ARGV:
+        assert run_cli(*argv) == (2, ""), argv
+        assert capsys.readouterr().out == "", argv
+    assert run_cli("check", "Z/12", "all") == (0, CHECK_Z12_ALL)
+    # over Z the diadem is a + b*t for the first t in 0, 1, -1, ... making it
+    # nonzero; a unit is its own evidence, any other nonzero w has the finite
+    # quotient Z/|w|, which has stable range 1
+    rng = random.Random("cli-diadem")
+    pairs = [(0, 1), (0, -1), (1, 0), (-1, 0), (60, -59), (-60, 1)]
+    while len(pairs) < 40:
+        a, b = rng.randint(-60, 60), rng.randint(-60, 60)
+        if math.gcd(a, b) == 1:
+            pairs.append((a, b))
+    for a, b in pairs:
+        t = 0 if a else 1
+        w = a + b * t
+        evidence = "trivial-unit" if abs(w) == 1 else "quotient-sr1"
+        want = f"# edr-kit v1\nmultiplier={t} diadem={w} evidence={evidence}\n"
+        assert run_cli("diadem", "Z", "--", str(a), str(b)) == (0, want), (a, b)
+
+
+def test_zero_ring_literals_are_refused(capsys):
+    # a unit modulus gives the zero ring, which has no literal on any carrier
+    for spec in ("Z/1", "GF(2)[x]/(1)", "GF(5)[x]/(3)"):
+        assert run_cli("check", spec, "all") == (2, ""), spec
+        assert "modulus" in capsys.readouterr().err, spec
 
 
 def test_byte_identical_reruns(matrix_file):

@@ -12,6 +12,7 @@ from edrkit import (
     InfiniteRingError,
     IntegerModRing,
     IntegerRing,
+    ProductRing,
     PropertyReport,
     RingMismatchError,
     RingProperty,
@@ -38,7 +39,13 @@ from edrkit import (
 )
 from edrkit.finite_lab import CHECKERS
 
-from oracles import LocalNonPrincipalRing, brute_coprime_splitting, brute_hermite_pair
+from oracles import (
+    LocalNonPrincipalRing,
+    brute_coprime_splitting,
+    brute_hermite_pair,
+    brute_ideal_span,
+    first_generator_radical_quotient,
+)
 
 Z = IntegerRing()
 R12 = IntegerModRing(12)
@@ -94,11 +101,24 @@ def test_is_comaximal_examples():
 def test_is_comaximal_matches_ideal_generated(ring):
     rng = random.Random(11)
     elems = list(ring.elements())
-    whole = set(elems)
+    whole = set(ring._payloads)
     for _ in range(40):
         picked = [rng.choice(elems) for _ in range(rng.randint(1, 3))]
-        expected = set(ideal_generated(ring, picked)) == whole
+        expected = brute_ideal_span(ring, tuple(e.payload for e in picked)) == whole
         assert is_comaximal(ring, picked) == expected
+
+
+PRODUCT_RINGS = [ProductRing(left, right) for left in SMALL_RINGS for right in SMALL_RINGS]
+
+
+def test_ideal_generated_matches_breadth_first_closure():
+    rng = random.Random("ideal-span")
+    for ring in SMALL_RINGS + PRODUCT_RINGS[::4]:
+        elems = list(ring.elements())
+        for _ in range(30):
+            picked = [rng.choice(elems) for _ in range(rng.randint(0, 3))]
+            want = brute_ideal_span(ring, tuple(e.payload for e in picked))
+            assert {e.payload for e in ideal_generated(ring, picked)} == want, ring.spec()
 
 
 # -- property checkers -----------------------------------------------------------
@@ -467,6 +487,13 @@ def test_radical_quotient_shapes():
     assert q.cardinality == 6
     assert radical_quotient(IntegerModRing(5)).cardinality == 5
     assert radical_quotient(ring_parse("GF(2)[x]/(0,0,1)")).cardinality == 2
+
+
+def test_radical_quotient_matches_first_generator_search():
+    rings = [IntegerModRing(n) for n in range(1, 81)] + SMALL_RINGS + PRODUCT_RINGS
+    for ring in rings:
+        got, want = radical_quotient(ring), first_generator_radical_quotient(ring)
+        assert got == want and got.spec() == want.spec(), ring.spec()
 
 
 def test_dyadic_range_invariant_under_radical_quotient():

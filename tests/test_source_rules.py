@@ -32,3 +32,16 @@ def test_verifier_imports_only_matrices_and_rings():
             imported.add("." * node.level + (node.module or ""))
     local = {name for name in imported if name.startswith(".") or name.startswith("edrkit")}
     assert local <= {".matrices", ".rings"}
+
+
+def test_producer_never_calls_the_verifiers_kernels():
+    # the verifier checks with the ring's own determinant and matrix-product
+    # kernels, so its independence rests on the reducer never calling them
+    path = SRC / "reduction.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found = [
+        f"reduction.py:{node.lineno} {node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in {"_det", "_matmul"}
+    ]
+    assert found == []

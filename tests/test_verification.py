@@ -20,9 +20,8 @@ from edrkit import (
 )
 from edrkit.matrices import from_payload_grid
 from edrkit.rings import Ring
-from edrkit.verification import _berkowitz_determinant, _determinant
 
-from oracles import laplace_determinant
+from oracles import berkowitz_determinant, laplace_determinant
 
 Z = IntegerRing()
 G5 = PolynomialRing(5)
@@ -34,6 +33,11 @@ RINGS = {
     "Z/12": IntegerModRing(12),
     "Z/4 x Z/9": Z4_Z9,
     "(Z/4 x Z/9)/((2|3))": quotient_ring(Z4_Z9, Z4_Z9.element((2, 3))),
+    "Z/(1)": quotient_ring(Z, Z.one),
+    "(Z/4 x Z/9)/((1|3))": quotient_ring(Z4_Z9, Z4_Z9.element((1, 3))),
+    "GF(3)[x]/(x^2+1)": ring_parse("GF(3)[x]/(1,0,1)"),
+    "Z/4 x GF(3)[x]/(x^2+1)": ring_parse("Z/4 x GF(3)[x]/(1,0,1)"),
+    "Z/2 x Z/2 x Z/3": ring_parse("Z/2 x Z/2 x Z/3"),
 }
 
 
@@ -65,9 +69,9 @@ def test_determinant_matches_laplace(name, sparse):
     @given(_square_grids(ring, sparse))
     def check(grid):
         expected = laplace_determinant(ring, grid)
-        assert _determinant(ring, grid) == expected
+        assert ring._det(grid) == expected
         # Berkowitz is exact over every carrier, the domains included
-        assert _berkowitz_determinant(ring, grid) == expected
+        assert berkowitz_determinant(ring, grid) == expected
 
     check()
 
