@@ -131,21 +131,11 @@ class _Tracked:
 
     def col_block(self, i: int, j: int, t) -> None:
         """Columns i, j of A (and Q) become the old pair times t."""
-        ring = self.ring
-        (t00, t01), (t10, t11) = t
-        for row in self.a:
-            x, y = row[i], row[j]
-            row[i] = ring._add(ring._mul(x, t00), ring._mul(y, t10))
-            row[j] = ring._add(ring._mul(x, t01), ring._mul(y, t11))
+        self.ring._col_block(self.a, i, j, t)
 
     def add_col(self, i: int, j: int, f) -> None:
         """col_i += f * col_j."""
-        ring = self.ring
-        zero = ring._zero()
-        for row in self.a:
-            v = row[j]
-            if v != zero:
-                row[i] = ring._add(row[i], ring._mul(f, v))
+        self.ring._add_col(self.a, i, j, f)
 
     def swap_rows(self, i: int, j: int) -> None:
         a = self.a

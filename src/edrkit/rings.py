@@ -24,7 +24,10 @@ modulo p.  Shorter operands, and pairs whose slots would need more than 8
 bytes (p above about 2^32), take the schoolbook loop.  A matrix product
 (Ring._matmul) sums each dot product as native ints: on Z directly, on
 GF(p)[x] over entries packed once into such slots; the finite carriers
-take the schoolbook loop.
+take the schoolbook loop.  The reducer's column shears (Ring._add_col,
+Ring._col_block) work the same way on GF(p)[x]: each column of the tableau
+is packed into one integer, so a shear is one bignum expression per
+column; Z and the finite carriers shear entry by entry, in place.
 
 Elements are immutable and kept in canonical form, so structural equality
 coincides with ring equality.  All operations are pure; rings and elements
@@ -167,6 +170,27 @@ class Ring(ABC):
                 out_row.append(acc)
             out.append(out_row)
         return out
+
+    def _add_col(self, rows: list[list], i: int, j: int, f: Any) -> None:
+        """Column i of the payload rows += f * column j, in place.
+
+        This default is the per-entry loop, which skips zero entries of
+        column j.
+        """
+        zero = self._zero()
+        for row in rows:
+            v = row[j]
+            if v != zero:
+                row[i] = self._add(row[i], self._mul(f, v))
+
+    def _col_block(self, rows: list[list], i: int, j: int, t) -> None:
+        """Columns i, j of the payload rows become the old pair times the
+        2 x 2 payload block t, in place.  This default is the per-entry loop."""
+        (t00, t01), (t10, t11) = t
+        for row in rows:
+            x, y = row[i], row[j]
+            row[i] = self._add(self._mul(x, t00), self._mul(y, t10))
+            row[j] = self._add(self._mul(x, t01), self._mul(y, t11))
 
     @abstractmethod
     def _det(self, grid: list[list]) -> Any:
@@ -635,6 +659,10 @@ def _poly_trim(coeffs) -> tuple:
 # A slot must hold (p - 1)^2 times the shorter operand's length.  Slots are
 # 1, 2, 4 or 8 bytes wide, the unsigned widths struct packs; an operand pair
 # that needs a wider slot (p above about 2^32) takes the schoolbook loop.
+# A whole column packs the same way, one block of equal length per entry
+# (_pack_column): blocks long enough for every product leave each block of
+# the result column its own entry, and 1-byte slots are reduced mod p by
+# one bytes.translate over the whole column and trimmed by rstrip.
 _SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 # Shorter operands take the schoolbook loop: 6 is the least length at which
@@ -659,6 +687,36 @@ def _pack(coeffs: tuple, code: str) -> int:
     """The integer whose little-endian slots of struct code hold coeffs."""
     data = bytes(coeffs) if code == "B" else struct.pack(f"<{len(coeffs)}{code}", *coeffs)
     return int.from_bytes(data, "little")
+
+
+def _pack_column(entries: list, size: int, code: str) -> int:
+    """The integer holding each entry in its own block of size slots of
+    struct code, the first entry in the lowest block."""
+    if code == "B":
+        data = b"".join([bytes(x).ljust(size, b"\0") for x in entries])
+    else:
+        padded = itertools.chain.from_iterable(x + (0,) * (size - len(x)) for x in entries)
+        data = struct.pack(f"<{len(entries) * size}{code}", *padded)
+    return int.from_bytes(data, "little")
+
+
+@cache
+def _mod_table(p: int) -> bytes:
+    """bytes.translate table taking each byte to its residue mod p."""
+    return bytes(c % p for c in range(256))
+
+
+def _unpack_column(total: int, count: int, size: int, slot: tuple[int, str], p: int) -> list:
+    """The count GF(p)[x] payloads held in blocks of size slots by total."""
+    width, code = slot
+    end = count * size
+    data = total.to_bytes(end * width, "little")
+    if code == "B":
+        # reduce every slot at once, cut the blocks, trim their zero bytes
+        blocks = struct.unpack(f"{size}s" * count, data.translate(_mod_table(p)))
+        return list(map(tuple, map(bytes.rstrip, blocks, itertools.repeat(b"\0"))))
+    coeffs = [c % p for c in struct.unpack(f"<{end}{code}", data)]
+    return [_poly_trim(coeffs[k : k + size]) for k in range(0, end, size)]
 
 
 def _poly_payloads(p: int) -> Iterator[tuple]:
@@ -782,6 +840,58 @@ class PolynomialRing(EuclideanRing):
                 out_row.append(_poly_trim([c % p for c in slots]))
             out.append(out_row)
         return out
+
+    def _add_col(self, rows, i, j, f):
+        # Kronecker substitution on whole columns: each column is one integer
+        # with a block of `size` slots per entry, wide enough that f * y never
+        # spills into the next block, so one bignum expression is the column.
+        # Only the rows with y nonzero take part.  A slot holds
+        # (p - 1) + (p - 1)^2 * min(len f, longest y).
+        ys = [row[j] for row in rows]
+        live = list(itertools.compress(rows, ys))
+        if not f or not live:
+            return
+        ys = list(filter(None, ys))
+        longest_y = max(map(len, ys))
+        p = self.p
+        slot = _slot(p - 1 + (p - 1) ** 2 * min(len(f), longest_y))
+        if slot is None:
+            return super()._add_col(rows, i, j, f)
+        xs = [row[i] for row in live]
+        size = max(max(map(len, xs)), len(f) + longest_y - 1)
+        code = slot[1]
+        total = _pack_column(xs, size, code) + _pack(f, code) * _pack_column(ys, size, code)
+        for row, x in zip(live, _unpack_column(total, len(live), size, slot, p)):
+            row[i] = x
+
+    def _col_block(self, rows, i, j, t):
+        # as _add_col, over the rows with x or y nonzero; a slot holds
+        # 2 (p - 1)^2 * min(longest x or y, longest t)
+        live = [row for row in rows if row[i] or row[j]]
+        if not live:
+            return
+        xs = [row[i] for row in live]
+        ys = [row[j] for row in live]
+        longest = max(max(map(len, xs)), max(map(len, ys)))
+        longest_t = max(len(e) for pair in t for e in pair)
+        if not longest_t:
+            # slots sized for the zero products could not hold x or y
+            for row in live:
+                row[i] = row[j] = ()
+            return
+        p = self.p
+        slot = _slot(2 * (p - 1) ** 2 * min(longest, longest_t))
+        if slot is None:
+            return super()._col_block(rows, i, j, t)
+        size = longest + longest_t - 1
+        code = slot[1]
+        x, y = _pack_column(xs, size, code), _pack_column(ys, size, code)
+        (t00, t01), (t10, t11) = [[_pack(e, code) for e in pair] for pair in t]
+        count = len(live)
+        new_i = _unpack_column(x * t00 + y * t10, count, size, slot, p)
+        new_j = _unpack_column(x * t01 + y * t11, count, size, slot, p)
+        for row, a, b in zip(live, new_i, new_j):
+            row[i], row[j] = a, b
 
     def _sort_key(self, x):
         return (len(x), x)

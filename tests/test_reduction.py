@@ -31,6 +31,7 @@ from edrkit import (
     stable_range_2_witness,
     verify_certificate,
 )
+from edrkit.rings import Ring
 
 from oracles import (
     int_determinantal_divisors,
@@ -396,8 +397,8 @@ def _seeded_poly_grid(rng, p, m, n, rank):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_poly_snf_is_identical_under_schoolbook_kernels(p, monkeypatch):
-    # the packed products and zip-based sums of PolynomialRing must not
-    # change a single P, D or Q entry, nor a verdict
+    # the packed products, column shears and zip-based sums of
+    # PolynomialRing must not change a single P, D or Q entry, nor a verdict
     ring = PolynomialRing(p)
     rng = random.Random(f"schoolbook-kernels/{p}")
     shapes = [(12, 12, 12), (12, 12, 5)]
@@ -421,6 +422,8 @@ def test_poly_snf_is_identical_under_schoolbook_kernels(p, monkeypatch):
     monkeypatch.setattr(PolynomialRing, "_add", lambda self, x, y: p_add(x, y, self.p))
     monkeypatch.setattr(PolynomialRing, "_mul", lambda self, x, y: p_mul(x, y, self.p))
     monkeypatch.setattr(PolynomialRing, "_divmod", lambda self, x, d: p_divmod(x, d, self.p))
+    monkeypatch.setattr(PolynomialRing, "_add_col", Ring._add_col)
+    monkeypatch.setattr(PolynomialRing, "_col_block", Ring._col_block)
     assert outcomes() == packed
     assert {verdict for _, verdict, _ in packed} == {None}
     assert {verdict for _, _, verdict in packed} == {"product"}
@@ -461,6 +464,42 @@ def test_snf_certificates_match_pinned_digest():
         digest.update(format_certificate(cert).encode())
     assert digest.hexdigest() == (
         "f2e6cb6d7e7fd30f0dcf198f0d1fd1e06a687880af2ec6d0f4da81ddc178d3e5"
+    )
+
+
+def _wide_slot_corpus():
+    """(ring, grid) pairs whose column shears need 2-, 4- and 8-byte Kronecker
+    slots: seeded GF(7/31/251/65537)[x] matrices of sides 1-8 and entry
+    degree <= 3 (every third with a last row that is a constant multiple of
+    the first), and eight 10 x 10 GF(5)[x] ones of degree <= 1."""
+    rng = random.Random("pinned-wide-slots")
+
+    def entry(p, degree):
+        return p_trim(tuple(rng.randrange(p) for _ in range(rng.randint(0, degree + 1))))
+
+    out = []
+    for p in (7, 31, 251, 65537):
+        for k in range(12):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            grid = [[entry(p, 3) for _ in range(n)] for _ in range(m)]
+            if k % 3 == 2 and m > 1:
+                c = rng.randrange(p)
+                grid[-1] = [p_trim(tuple(c * a % p for a in x)) for x in grid[0]]
+            out.append((PolynomialRing(p), grid))
+    for _ in range(8):
+        out.append((PolynomialRing(5), [[entry(5, 1) for _ in range(10)] for _ in range(10)]))
+    return out
+
+
+def test_snf_certificates_match_pinned_wide_slot_digest():
+    # the pinned corpus above has p <= 5 only; this one pins certificates
+    # whose packed column shears use every slot width
+    digest = hashlib.sha256()
+    for ring, grid in _wide_slot_corpus():
+        cert = smith_normal_form(ring, Matrix.from_rows(ring, grid))
+        digest.update(format_certificate(cert).encode())
+    assert digest.hexdigest() == (
+        "a71741960cdbaf459bfa72893587d4a1e82241868227ee7b1be2676f6c8a485a"
     )
 
 

@@ -394,6 +394,94 @@ def test_matmul_fills_slots_to_their_bound(p, k, length, width, monkeypatch):
     assert bool(fallbacks) == (width is None)
 
 
+# Column shears: GF(p)[x] packs whole columns of the reducer's tableau into
+# 1-, 2-, 4- or 8-byte slots and must agree with Ring's per-entry loops; a
+# prime above 2^32 needs wider slots and takes those loops.
+SHEAR_PRIMES = (2, 3, 5, 7, 31, 251, 65537, 4294967311)
+
+
+@st.composite
+def _shear_operands(draw):
+    p = draw(st.sampled_from(SHEAR_PRIMES))
+    coeffs = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+    entries = st.one_of(
+        st.just(()),
+        st.integers(1, p - 1).map(lambda c: (c,)),
+        st.lists(coeffs, max_size=24).map(p_trim),
+    )
+    rows = draw(st.lists(st.lists(entries, min_size=3, max_size=3), max_size=30))
+    for col in draw(st.sets(st.integers(0, 2), max_size=2)):
+        for row in rows:
+            row[col] = ()
+    i, j, _ = draw(st.permutations(range(3)))
+    f = draw(entries)
+    t = ((draw(entries), draw(entries)), (draw(entries), draw(entries)))
+    return PolynomialRing(p), rows, i, j, f, t
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_shear_operands())
+def test_polynomial_shear_kernels_match_the_ring_defaults(case):
+    ring, rows, i, j, f, t = case
+    for name, arg in (("_add_col", f), ("_col_block", t)):
+        packed, looped = [list(row) for row in rows], [list(row) for row in rows]
+        getattr(ring, name)(packed, i, j, arg)
+        getattr(Ring, name)(ring, looped, i, j, arg)
+        assert packed == looped, name
+
+
+# Every coefficient is p - 1, so the slots reach the kernels' bounds: x + f*y
+# reaches (p - 1) + (p - 1)^2 * length and x*t00 + y*t10 reaches
+# 2 (p - 1)^2 * length.  Each pair of rows is the largest case at one width
+# and the least at the next (None: Ring's per-entry loop).
+@pytest.mark.parametrize(
+    "name, p, length, width",
+    [
+        ("_add_col", 2, 254, 1),
+        ("_add_col", 2, 255, 2),
+        ("_add_col", 7, 6, 1),
+        ("_add_col", 7, 7, 2),
+        ("_add_col", 31, 72, 2),
+        ("_add_col", 31, 73, 4),
+        ("_add_col", 65537, 1, 8),
+        ("_add_col", 2**31 - 1, 4, 8),
+        ("_add_col", 2**31 - 1, 5, None),
+        ("_col_block", 2, 127, 1),
+        ("_col_block", 2, 128, 2),
+        ("_col_block", 5, 7, 1),
+        ("_col_block", 5, 8, 2),
+        ("_col_block", 46337, 1, 4),
+        ("_col_block", 46337, 2, 8),
+        ("_col_block", 2**31 - 1, 2, 8),
+        ("_col_block", 2**31 - 1, 3, None),
+    ],
+)
+def test_shear_kernels_fill_slots_to_their_bound(name, p, length, width, monkeypatch):
+    import edrkit.rings as rings
+
+    ring = PolynomialRing(p)
+    entry = (p - 1,) * length
+    if name == "_add_col":
+        bound, arg = (p - 1) + (p - 1) ** 2 * length, entry
+    else:
+        bound, arg = 2 * (p - 1) ** 2 * length, ((entry, entry), (entry, entry))
+    slot = _slot(bound)
+    assert (slot and slot[0]) == width
+    widths, unpack = [], rings._unpack_column
+
+    def spied(total, count, size, slot, p):
+        widths.append(slot[0])
+        return unpack(total, count, size, slot, p)
+
+    monkeypatch.setattr(rings, "_unpack_column", spied)
+    rows = [[entry, entry, ()], [(), entry, entry], [entry, (), entry]]
+    packed, looped = [list(row) for row in rows], [list(row) for row in rows]
+    getattr(ring, name)(packed, 0, 1, arg)
+    getattr(Ring, name)(ring, looped, 0, 1, arg)
+    assert packed == looped
+    assert set(widths) == ({width} if width else set())
+
+
 @pytest.mark.parametrize("m, k, n", [(0, 0, 0), (2, 0, 3), (0, 2, 3), (2, 3, 0), (2, 3, 4)])
 def test_matrix_product_keeps_its_shape(m, k, n):
     # an m x 0 by 0 x n product is the m x n zero matrix, though the right
@@ -908,6 +996,46 @@ def test_quotient_specs_parse_back():
     zz = ProductRing(Z, Z)
     with pytest.raises(UnsupportedRingError):
         quotient_ring(zz, zz.element((2, 3)))
+
+
+def _draw_payload(data, ring):
+    if isinstance(ring, ProductRing):
+        return (_draw_payload(data, ring.left), _draw_payload(data, ring.right))
+    if isinstance(ring, IntegerModRing):
+        return data.draw(st.integers(-(10**12), 10**12))
+    return data.draw(st.lists(st.integers(-(10**4), 10**4), max_size=8))
+
+
+def _draw_literal_factor(data):
+    """Z/n or GF(p)[x]/(f), or a quotient of one (a zero ring now and then)."""
+    if data.draw(st.booleans()):
+        ring = IntegerModRing(data.draw(st.integers(1, 10**6)))
+    else:
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 65537]))
+        modulus = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=5))
+        assume(any(modulus))
+        ring = PolynomialQuotientRing(p, modulus)
+    if data.draw(st.booleans()):
+        ring = quotient_ring(ring, ring.element(_draw_payload(data, ring)))
+    return ring
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_product_and_quotient_literals_round_trip(data):
+    # products associate to the left in the grammar, so they are built that way
+    ring = _draw_literal_factor(data)
+    for _ in range(data.draw(st.integers(0, 2))):
+        ring = ProductRing(ring, _draw_literal_factor(data))
+    for r in (ring, quotient_ring(ring, ring.element(_draw_payload(data, ring)))):
+        if any(f.is_zero_ring for f in _factors(r)):
+            # the zero ring has no literal (Ring.spec)
+            with pytest.raises(RingParseError):
+                ring_parse(r.spec())
+        else:
+            assert ring_parse(r.spec()) == r
+        elem = r.element(_draw_payload(data, r))
+        assert r.parse_element(r.format_element(elem)) == elem
 
 
 def test_finite_enumeration_comes_in_canonical_order():

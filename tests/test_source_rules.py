@@ -45,3 +45,16 @@ def test_producer_never_calls_the_verifiers_kernels():
         if isinstance(node, ast.Attribute) and node.attr in {"_det", "_matmul"}
     ]
     assert found == []
+
+
+def test_verifier_never_calls_the_producers_kernels():
+    # the reducer's column shears live in the ring layer beside the
+    # verifier's kernels, so the verifier must never reach for them
+    path = SRC / "verification.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found = [
+        f"verification.py:{node.lineno} {node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in {"_add_col", "_col_block"}
+    ]
+    assert found == []
