@@ -15,7 +15,11 @@ Finite rings answer through that structure as well: every carrier yields
 its payloads in canonical order (no sort), ideal_span folds the
 generators' gcds into one principal generator, and the determinant
 (Ring._det) is Bareiss elimination on Z and GF(p)[x], the base ring's
-determinant reduced mod m on a quotient, and a pair on a product.
+determinant reduced mod m on a quotient, and a pair on a product.  One
+Bareiss loop serves both domains; the update of the rows below a pivot
+(EuclideanRing._bareiss_rows) runs on native ints over Z and, over GF(p)[x],
+as one Kronecker-packed expression per row with the exact division by the
+previous pivot done as a product with its power-series inverse.
 
 GF(p)[x] multiplies by Kronecker substitution once the shorter operand has
 _KRONECKER_MIN_LEN coefficients: the coefficients are packed into slots of
@@ -27,7 +31,8 @@ GF(p)[x] over entries packed once into such slots; the finite carriers
 take the schoolbook loop.  The reducer's column shears (Ring._add_col,
 Ring._col_block) work the same way on GF(p)[x]: each column of the tableau
 is packed into one integer, so a shear is one bignum expression per
-column; Z and the finite carriers shear entry by entry, in place.
+column; Z shears entry by entry on native ints, and the finite carriers
+through their _add and _mul, in place.
 
 Elements are immutable and kept in canonical form, so structural equality
 coincides with ring equality.  All operations are pure; rings and elements
@@ -36,7 +41,6 @@ are safe to share across threads.
 
 from __future__ import annotations
 
-import decimal
 import itertools
 import math
 import operator
@@ -407,11 +411,12 @@ class EuclideanRing(Ring):
 
         Every division by the previous pivot is exact in an integral domain, so
         intermediate entries stay minors of the input: O(n^3) ring operations.
+        The pivot search, row swaps and sign are shared; the update of the rows
+        below each pivot is _bareiss_rows, one kernel per carrier.
         """
         a = [list(row) for row in grid]
         n = len(a)
         zero, one = self._zero(), self._one()
-        sub, mul, divides = self._sub, self._mul, self._divides
         sign, prev = one, one
         for k in range(n - 1):
             if a[k][k] == zero:
@@ -420,14 +425,22 @@ class EuclideanRing(Ring):
                     return zero
                 a[k], a[swap] = a[swap], a[k]
                 sign = self._neg(sign)
-            pivot, row_k = a[k][k], a[k]
-            for i in range(k + 1, n):
-                row_i = a[i]
-                lead = row_i[k]
-                for j in range(k + 1, n):
-                    row_i[j] = divides(prev, sub(mul(pivot, row_i[j]), mul(lead, row_k[j])))
-            prev = pivot
+            self._bareiss_rows(a, k, prev)
+            prev = a[k][k]
         return self._mul(sign, a[n - 1][n - 1]) if n else one
+
+    def _bareiss_rows(self, rows: list[list], k: int, prev: Any) -> None:
+        """One Bareiss step, in place: entry j > k of each row i > k becomes
+        (pivot * rows[i][j] - rows[i][k] * rows[k][j]) / prev, with pivot
+        rows[k][k] nonzero.  The division is exact (Sylvester's identity).
+        This default is the per-entry loop."""
+        sub, mul, divides = self._sub, self._mul, self._divides
+        row_k = rows[k]
+        pivot = row_k[k]
+        for row_i in rows[k + 1 :]:
+            lead = row_i[k]
+            for j in range(k + 1, len(row_k)):
+                row_i[j] = divides(prev, sub(mul(pivot, row_i[j]), mul(lead, row_k[j])))
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +484,26 @@ class IntegerRing(EuclideanRing):
     def _matmul(self, left, right):
         columns = list(zip(*right))
         return [[sum(map(operator.mul, row, col)) for col in columns] for row in left]
+
+    # Ring's per-entry loops on native ints, without the _add/_mul dispatch
+    def _add_col(self, rows, i, j, f):
+        for row in rows:
+            v = row[j]
+            if v:
+                row[i] += f * v
+
+    def _col_block(self, rows, i, j, t):
+        (t00, t01), (t10, t11) = t
+        for row in rows:
+            x, y = row[i], row[j]
+            row[i] = x * t00 + y * t10
+            row[j] = x * t01 + y * t11
+
+    def _bareiss_rows(self, rows, k, prev):
+        pivot, tail_k = rows[k][k], rows[k][k + 1 :]
+        for row in rows[k + 1 :]:
+            lead = row[k]
+            row[k + 1 :] = [(pivot * x - lead * y) // prev for x, y in zip(row[k + 1 :], tail_k)]
 
     def _divides(self, x, y):
         if not x:
@@ -573,7 +606,10 @@ def _format_int(x: int) -> str:
     # past the interpreter's int/str digit limit, which decimal ignores: split
     # |x| in binary halves and combine lo + hi * 2^k in decimal, where
     # libmpdec multiplies in subquadratic time (the method of CPython 3.12's
-    # _pylong.int_to_decimal_string); str(Decimal(x)) is quadratic
+    # _pylong.int_to_decimal_string); str(Decimal(x)) is quadratic.  decimal
+    # is imported here, so a process that never formats a long int skips it.
+    import decimal
+
     @cache
     def power(k):
         if k <= _DECIMAL_LEAF_BITS:
@@ -717,6 +753,16 @@ def _unpack_column(total: int, count: int, size: int, slot: tuple[int, str], p: 
         return list(map(tuple, map(bytes.rstrip, blocks, itertools.repeat(b"\0"))))
     coeffs = [c % p for c in struct.unpack(f"<{end}{code}", data)]
     return [_poly_trim(coeffs[k : k + size]) for k in range(0, end, size)]
+
+
+def _series_inverse(c: tuple, m: int, p: int) -> tuple:
+    """The GF(p)[x] payload of c^-1 mod x^m, for c with c(0) != 0."""
+    inv0 = pow(c[0], -1, p)
+    out = [inv0]
+    for r in range(1, m):
+        acc = sum(c[u] * out[r - u] for u in range(1, min(r + 1, len(c))))
+        out.append(-acc * inv0 % p)
+    return _poly_trim(out)
 
 
 def _poly_payloads(p: int) -> Iterator[tuple]:
@@ -892,6 +938,52 @@ class PolynomialRing(EuclideanRing):
         new_j = _unpack_column(x * t01 + y * t11, count, size, slot, p)
         for row, a, b in zip(live, new_i, new_j):
             row[i], row[j] = a, b
+
+    def _bareiss_rows(self, rows, k, prev):
+        # Kronecker substitution on whole row tails: each row's numerator
+        # pivot * R_i + (-lead) * R_k is one bignum expression with every slot
+        # nonnegative, one block of `size` slots per entry.  Dividing it by
+        # prev = x^v c, c(0) != 0, drops v slots and multiplies by the power
+        # series inverse of c modulo x^m, m bounding the quotient's length.
+        # That is right only because Bareiss divisions are exact (Sylvester's
+        # identity): each numerator N is x^v c q with len q <= m, so
+        # q = (N / x^v) c^-1 mod x^m.  The v slots dropped from each block's
+        # bottom hold multiples of p, not zeros; they land at the top of the
+        # block below, past its first m slots, and spill only multiples of p
+        # into the first m slots of their own block.  A slot holds
+        # (p - 1)^2 (min(len pivot, longest x) + min(longest lead, longest y))
+        # times the sum of the inverse's coefficients.
+        row_k, below = rows[k], rows[k + 1 :]
+        pivot, tail_k = row_k[k], row_k[k + 1 :]
+        tails = [row[k + 1 :] for row in below]
+        leads = [self._neg(row[k]) for row in below]
+        longest_x = max(len(x) for tail in tails for x in tail)
+        longest_y, longest_lead = max(map(len, tail_k)), max(map(len, leads))
+        longest = max(len(pivot) + longest_x, longest_lead + longest_y) - 1
+        m = longest - len(prev) + 1
+        terms = min(len(pivot), longest_x) + min(longest_lead, longest_y)
+        if m <= 0 or not terms:
+            # every numerator is zero, or shorter than prev and so, by
+            # exactness, zero; slots sized for it could not hold the operands
+            for row in below:
+                row[k + 1 :] = [()] * len(tail_k)
+            return
+        p = self.p
+        v = next(e for e, c in enumerate(prev) if c)
+        inverse = _series_inverse(prev[v:], m, p)
+        slot = _slot((p - 1) ** 2 * terms * sum(inverse))
+        if slot is None:
+            return super()._bareiss_rows(rows, k, prev)
+        width, code = slot
+        size = longest + m - 1
+        shift = 8 * width * v
+        pivot_n, inverse_n = _pack(pivot, code), _pack(inverse, code)
+        y = _pack_column(tail_k, size, code)
+        count = len(tail_k)
+        for row, tail, lead in zip(below, tails, leads):
+            total = pivot_n * _pack_column(tail, size, code) + _pack(lead, code) * y
+            quotients = _unpack_column((total >> shift) * inverse_n, count, size, slot, p)
+            row[k + 1 :] = [_poly_trim(q[:m]) for q in quotients]
 
     def _sort_key(self, x):
         return (len(x), x)

@@ -1,16 +1,21 @@
+import contextlib
 import io
 import math
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edrkit import IntegerRing, Matrix, RingParseError, parse_certificate, parse_matrix
 from edrkit.cli import main
+from edrkit.finite_lab import CHECKERS
 
 Z = IntegerRing()
 
@@ -372,6 +377,91 @@ def test_exit_codes_on_fuzzed_invocations(tmp_path):
     for argv in invocations:
         code = main(argv, out=io.StringIO())
         assert code in (1, 2), argv
+
+
+# Ring literals of the fuzz: small moduli only, since diadem on a finite ring
+# still certifies exhaustively; junk uses no digits, so it never parses to a
+# large ring.  The domains come three times, so snf and verify often run.
+FUZZ_RINGS = ["Z", "GF(2)[x]", "GF(5)[x]"] * 3 + [
+    "Z/12", "Z/7", "Z/4 x Z/3", "GF(3)[x]/(1,0,1)", "Z/0", "Z/1", "Q",
+]
+FUZZ_LITERALS = ["1,1", "0", "2,0,1", "(1|2)", "(0|0)", "-", "", "x", "1 2"]
+
+
+def _junk(rnd):
+    return "".join(rnd.choice("()[]/,|x GFZ-") for _ in range(rnd.randrange(9)))
+
+
+def _fuzzed_literal(rnd):
+    kind = rnd.randrange(3)
+    if kind == 0:
+        return str(rnd.randint(-30, 30))
+    return rnd.choice(FUZZ_LITERALS) if kind == 1 else _junk(rnd)
+
+
+def _fuzzed_matrix_text(rnd):
+    if rnd.random() < 0.2:
+        return "".join(rnd.choice("0123456789 -,x\n|()") for _ in range(rnd.randrange(30)))
+    rows, cols = rnd.randrange(4), rnd.randrange(4)
+    header = rnd.choice([f"{rows} {cols}"] * 8 + [f"{rows} {cols + 1}", f"{rows}", "-1 2", "x y"])
+    # half the matrices hold only small integers, a literal of every carrier
+    # but products
+    entry = _fuzzed_literal if rnd.random() < 0.5 else lambda rnd: str(rnd.randint(-9, 9))
+    body = [" ".join(entry(rnd) for _ in range(cols)) for _ in range(rows)]
+    return "\n".join([header, *body]) + "\n"
+
+
+def _fuzzed_invocation(rnd):
+    """(argv, ring, matrix text, certificate text); {m} and {c} in argv name
+    the files, and a certificate of None is the one snf prints for the
+    matrix over the ring."""
+    verb = rnd.choice(["snf", "check", "diadem", "witness", "verify", "frobnicate", "--help"])
+    ring = _junk(rnd) if rnd.random() < 0.2 else rnd.choice(FUZZ_RINGS)
+    argv = {
+        "snf": ["snf", ring, "{m}"],
+        "verify": ["verify", ring, "{m}", "{c}"],
+        "check": ["check", ring, rnd.choice([p.value for p in CHECKERS] + ["all", "nope", ""])],
+        "diadem": ["diadem", ring, "--", _fuzzed_literal(rnd), _fuzzed_literal(rnd)],
+        "witness": ["witness", ring, "--", *(_fuzzed_literal(rnd) for _ in range(3))],
+    }.get(verb, [verb])
+    if rnd.random() < 0.2:
+        argv = argv[: rnd.randrange(len(argv) + 1)]
+    if rnd.random() < 0.2:
+        argv[1:1] = ["--bound", rnd.choice([str(rnd.randint(-2, 2000)), _junk(rnd)])]
+    certificate = rnd.choice([None, None, _fuzzed_matrix_text(rnd), _junk(rnd)])
+    return argv, ring, _fuzzed_matrix_text(rnd), certificate
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**64))
+def test_exit_codes_under_fuzzed_argv_and_files(seed):
+    # 0, 1 or 2 on any argv and file contents, and never an internal error;
+    # the draws come from a seeded Random, which spreads them far wider
+    # than Hypothesis's own random source does over 200 examples
+    argv, ring, matrix, certificate = _fuzzed_invocation(random.Random(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"m": os.path.join(tmp, "m.txt"), "c": os.path.join(tmp, "c.txt")}
+        Path(paths["m"]).write_text(matrix, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            if certificate is None:
+                out = io.StringIO()
+                main(["snf", ring, paths["m"]], out=out)
+                certificate = out.getvalue()
+            Path(paths["c"]).write_text(certificate, encoding="utf-8")
+            argv = [a.format(**paths) if a in ("{m}", "{c}") else a for a in argv]
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv, out=io.StringIO())
+    assert code in (0, 1, 2), argv
+    assert "internal error" not in err.getvalue(), (argv, err.getvalue())
+
+
+def test_cli_import_leaves_decimal_out():
+    # decimal serves only integers past the int/str digit limit
+    script = "import sys, edrkit.cli\nprint('decimal' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 # the malformed argv shapes of perfbench's cli workload (perfbench/workloads.py)

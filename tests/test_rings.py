@@ -430,6 +430,25 @@ def test_polynomial_shear_kernels_match_the_ring_defaults(case):
         assert packed == looped, name
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.lists(st.one_of(st.just(0), st.integers(-5, 5), st.integers(-(2**80), 2**80)), min_size=3, max_size=3),
+        max_size=30,
+    ),
+    st.permutations(range(3)),
+    st.lists(st.one_of(st.just(0), st.integers(-(2**80), 2**80)), min_size=5, max_size=5),
+)
+def test_integer_shear_kernels_match_the_ring_defaults(rows, order, values):
+    ring, (i, j, _) = IntegerRing(), order
+    f, t = values[0], ((values[1], values[2]), (values[3], values[4]))
+    for name, arg in (("_add_col", f), ("_col_block", t)):
+        native, looped = [list(row) for row in rows], [list(row) for row in rows]
+        getattr(ring, name)(native, i, j, arg)
+        getattr(Ring, name)(ring, looped, i, j, arg)
+        assert native == looped, name
+
+
 # Every coefficient is p - 1, so the slots reach the kernels' bounds: x + f*y
 # reaches (p - 1) + (p - 1)^2 * length and x*t00 + y*t10 reaches
 # 2 (p - 1)^2 * length.  Each pair of rows is the largest case at one width

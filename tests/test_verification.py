@@ -13,6 +13,7 @@ from edrkit import (
     PolynomialRing,
     ReductionCertificate,
     check_certificate,
+    format_certificate,
     quotient_ring,
     ring_parse,
     smith_normal_form,
@@ -76,6 +77,62 @@ def test_determinant_matches_laplace(name, sparse):
     check()
 
 
+DET_PRIMES = (2, 3, 5, 7, 31, 251, 65537, 4294967311)
+
+
+@st.composite
+def _bareiss_cases(draw):
+    """(ring, grid) over Z or GF(p)[x], sides 0-8.  Polynomial entries reach
+    40 coefficients of p - 1, which fill the packed kernel's slots; a shift
+    by x^s makes every pivot's constant term zero; a row copying a prefix of
+    the first row makes a leading minor zero (a swap) or the grid singular."""
+    carrier = draw(st.sampled_from(("Z",) + DET_PRIMES))
+    n = draw(st.integers(0, 8))
+    if carrier == "Z":
+        ring = Z
+        entries = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    else:
+        p = carrier
+        ring = PolynomialRing(p)
+        coeffs = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+        entries = st.one_of(
+            st.just(()),
+            st.integers(1, 40).map(lambda length: (p - 1,) * length),
+            st.lists(coeffs, max_size=6).map(ring._canonical),
+        )
+    grid = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        i, width = draw(st.integers(1, n - 1)), draw(st.integers(1, n))
+        grid[i][:width] = grid[0][:width]
+    if n and draw(st.booleans()):
+        for row in grid[: draw(st.integers(1, n))]:
+            row[0] = ring._zero()
+    if carrier != "Z":
+        shift = (0,) * draw(st.integers(0, 2))
+        grid = [[x and shift + x for x in row] for row in grid]
+    return ring, grid
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_bareiss_cases())
+def test_bareiss_row_kernels_match_the_generic_update(case):
+    ring, grid = case
+    assert ring._det(grid) == berkowitz_determinant(ring, grid)
+    # each step of the carrier's kernel against the per-entry default, on
+    # the same elimination state
+    a, prev, zero = [list(row) for row in grid], ring._one(), ring._zero()
+    for k in range(len(a) - 1):
+        swap = next((i for i in range(k, len(a)) if a[i][k] != zero), None)
+        if swap is None:
+            break
+        a[k], a[swap] = a[swap], a[k]
+        fast = [list(row) for row in a]
+        ring._bareiss_rows(fast, k, prev)
+        EuclideanRing._bareiss_rows(ring, a, k, prev)
+        assert fast == a
+        prev = a[k][k]
+
+
 def test_verify_24x24_certificate_is_fast():
     # the memoized Laplace expansion this replaced took minutes at n = 24
     rng = random.Random("verify-24")
@@ -135,23 +192,26 @@ def _tampered(ring, a, cert):
 
 @pytest.mark.parametrize("ring", [Z, PolynomialRing(2), PolynomialRing(3), G5], ids=str)
 def test_verdicts_are_identical_under_generic_kernels(ring, monkeypatch):
-    # Z's native matrix product, subtraction and exact division, and
-    # GF(p)[x]'s packed matrix product, must not change a single verdict
-    rng = random.Random(f"generic-kernels/{ring}")
-    cases = [
-        (a, tampered, clause)
-        for a, cert in _seeded_certificates(ring, rng, 12)
-        for tampered, clause in _tampered(ring, a, cert)
-    ]
+    # the carriers' own kernels (Z's native matrix product, Bareiss rows,
+    # shears, subtraction and exact division; GF(p)[x]'s packed matrix
+    # product, Bareiss rows and shears) must not change a single
+    # certificate or verdict
+    def outcomes():
+        rng = random.Random(f"generic-kernels/{ring}")
+        return [
+            (format_certificate(tampered), clause, check_certificate(ring, a, tampered))
+            for a, cert in _seeded_certificates(ring, rng, 12)
+            for tampered, clause in _tampered(ring, a, cert)
+        ]
 
-    def verdicts():
-        return [check_certificate(ring, a, cert) for a, cert, _ in cases]
-
-    fast = verdicts()
-    assert fast == [clause for _, _, clause in cases]
+    fast = outcomes()
+    assert [verdict for _, _, verdict in fast] == [clause for _, clause, _ in fast]
     for carrier in (IntegerRing, PolynomialRing):
         monkeypatch.setattr(carrier, "_matmul", Ring._matmul)
+        monkeypatch.setattr(carrier, "_add_col", Ring._add_col)
+        monkeypatch.setattr(carrier, "_col_block", Ring._col_block)
+        monkeypatch.setattr(carrier, "_bareiss_rows", EuclideanRing._bareiss_rows)
         monkeypatch.setattr(carrier, "_sub", Ring._sub)
         monkeypatch.setattr(carrier, "_divides", EuclideanRing._divides)
-    assert verdicts() == fast
-    assert set(fast) == {None, "product", "unit-determinant", "chain"}
+    assert outcomes() == fast
+    assert {verdict for _, _, verdict in fast} == {None, "product", "unit-determinant", "chain"}
