@@ -1,51 +1,94 @@
 """Exact matrices over the supported rings, plus the text wire formats.
 
+A Matrix keeps its entries as one payload grid: a list of rows, each a
+list of canonical payloads, which the matrix owns and never mutates.  The
+reducer, the verifier and the text formats read and write that grid
+directly; RingElements are built only when .entries, entry, row or
+diagonal is read, and then cached.  The public constructor
+Matrix(ring, rows, cols, entries) checks that every entry belongs to the
+ring; from_payload_grid is the internal constructor from canonical
+payloads, which checks only the shape and boxes nothing.
+
 Matrix text format: a `<rows> <cols>` header line, then one line per row of
 whitespace-separated element literals.  A reduction certificate is three
-such matrices under `P`, `D`, `Q` header lines.
+such matrices under `P`, `D`, `Q` header lines.  Each row is read and
+written whole by the ring's row codec (Ring._parse_row, Ring._format_row).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from .rings import Ring, RingElement, RingParseError, _excerpt, _int_excerpt, _parse_int
 
 
-@dataclass(frozen=True)
 class Matrix:
-    ring: Ring
-    rows: int
-    cols: int
-    entries: tuple[RingElement, ...]
+    """An immutable rows x cols matrix over ring, equal and hashed by its
+    ring, shape and payloads.
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    The entry cache is filled on first read; two threads filling it at once
+    build equal tuples, so sharing a matrix across threads stays safe.
+    """
+
+    def __init__(self, ring: Ring, rows: int, cols: int, entries: tuple[RingElement, ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        for e in self.entries:
-            self.ring._check(e)
+        entries = tuple(entries)
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        for e in entries:
+            ring._check(e)
+        grid = [[e.payload for e in entries[i * cols : (i + 1) * cols]] for i in range(rows)]
+        self._init(ring, rows, cols, grid, entries)
+
+    def _init(self, ring: Ring, rows: int, cols: int, grid: list, entries) -> None:
+        # entries is the cache behind .entries, None until it is read
+        for name, value in (
+            ("ring", ring), ("rows", rows), ("cols", cols), ("_grid", grid), ("_entries", entries)
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Matrix:
+            return NotImplemented
+        return (self.ring, self.rows, self.cols, self._grid) == (
+            other.ring, other.rows, other.cols, other._grid
+        )
+
+    def __hash__(self):
+        return hash((self.ring, self.rows, self.cols, tuple(map(tuple, self._grid))))
+
+    def __repr__(self):
+        return (
+            f"Matrix(ring={self.ring!r}, rows={self.rows!r}, cols={self.cols!r},"
+            f" entries={self.entries!r})"
+        )
+
+    @property
+    def entries(self) -> tuple[RingElement, ...]:
+        """The entries in row-major order, boxed on first read."""
+        entries = self._entries
+        if entries is None:
+            ring = self.ring
+            entries = tuple(RingElement(ring, x) for row in self._grid for x in row)
+            object.__setattr__(self, "_entries", entries)
+        return entries
 
     @classmethod
     def from_rows(cls, ring: Ring, rows: list) -> "Matrix":
-        height = len(rows)
-        width = len(rows[0]) if rows else 0
-        entries = []
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("ragged rows")
-            entries.extend(ring.element(v) for v in row)
-        return cls(ring, height, width, tuple(entries))
+        return from_payload_grid(ring, [[ring._canonical(v) for v in row] for row in rows])
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
-        one, zero = ring.one, ring.zero
-        return cls(
-            ring, n, n, tuple(one if i == j else zero for i in range(n) for j in range(n))
-        )
+        one, zero = ring._one(), ring._zero()
+        grid = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        return from_payload_grid(ring, grid, n)
 
     def entry(self, i: int, j: int) -> RingElement:
         return self.entries[i * self.cols + j]
@@ -54,17 +97,13 @@ class Matrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def payload_grid(self) -> list[list]:
-        return [
-            [self.entries[i * self.cols + j].payload for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
+        """The payloads as fresh row lists, which the caller may mutate."""
+        return [list(row) for row in self._grid]
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.ring,
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
+        grid = self._grid
+        return from_payload_grid(
+            self.ring, [[row[j] for row in grid] for j in range(self.cols)], self.rows
         )
 
     def __mul__(self, other: "Matrix") -> "Matrix":
@@ -74,13 +113,11 @@ class Matrix:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         ring = self.ring
         if self.cols:
-            grid = ring._matmul(self.payload_grid(), other.payload_grid())
+            grid = ring._matmul(self._grid, other._grid)
         else:
             # other has no rows, so its grid cannot say how wide it is
             grid = [[ring._zero()] * other.cols for _ in range(self.rows)]
-        return Matrix(
-            ring, self.rows, other.cols, tuple(RingElement(ring, x) for row in grid for x in row)
-        )
+        return from_payload_grid(ring, grid, other.cols)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -102,22 +139,23 @@ class ReductionCertificate:
     Q: Matrix
 
 
-def from_payload_grid(ring: Ring, grid: list[list]) -> Matrix:
-    rows = len(grid)
-    cols = len(grid[0]) if rows else 0
-    return Matrix(
-        ring,
-        rows,
-        cols,
-        tuple(RingElement(ring, grid[i][j]) for i in range(rows) for j in range(cols)),
-    )
+def from_payload_grid(ring: Ring, grid: list[list], cols: int | None = None) -> Matrix:
+    """The matrix whose rows are the lists of grid, canonical payloads of
+    ring, neither checked nor boxed.  The matrix takes the row lists over, so
+    the caller passes lists it will not touch again.  cols gives the width of
+    a grid without rows; by default it is the length of the first row."""
+    if cols is None:
+        cols = len(grid[0]) if grid else 0
+    if any(len(row) != cols for row in grid):
+        raise ValueError("ragged rows")
+    m = Matrix.__new__(Matrix)
+    m._init(ring, len(grid), cols, grid, None)
+    return m
 
 
 def format_matrix(m: Matrix) -> str:
-    lines = [f"{m.rows} {m.cols}"]
-    for i in range(m.rows):
-        lines.append(" ".join(m.ring.format_element(e) for e in m.row(i)))
-    return "\n".join(lines) + "\n"
+    format_row = m.ring._format_row
+    return "\n".join([f"{m.rows} {m.cols}", *map(format_row, m._grid)]) + "\n"
 
 
 def parse_matrix(ring: Ring, text: str) -> Matrix:
@@ -149,9 +187,12 @@ def _parse_matrix_lines(
                 f" the {limit} characters of its text"
             )
     idx += 1
-    entries = []
-    # a zero-width row is written as a blank line, which reads as no line
-    for r in range(rows if cols else 0):
+    if not cols:
+        # a zero-width row is written as a blank line, which reads as no line
+        return from_payload_grid(ring, [[] for _ in range(rows)], 0), idx
+    parse_row = ring._parse_row
+    grid = []
+    for r in range(rows):
         while idx < len(lines) and not lines[idx].strip():
             idx += 1
         if idx >= len(lines):
@@ -162,9 +203,9 @@ def _parse_matrix_lines(
                 f"row {r + 1} has {len(tokens)} entries, expected {_int_excerpt(cols)}"
                 f" (line {idx + 1})"
             )
-        entries.extend(ring.parse_element(tok) for tok in tokens)
+        grid.append(parse_row(tokens))
         idx += 1
-    return Matrix(ring, rows, cols, tuple(entries)), idx
+    return from_payload_grid(ring, grid, cols), idx
 
 
 def format_certificate(cert: ReductionCertificate) -> str:

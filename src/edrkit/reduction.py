@@ -178,9 +178,7 @@ class _Tracked:
 
     def _block(self, rows, lo: int, hi: int) -> Matrix:
         """Columns lo..hi-1 of the given tableau rows, shaped even when empty."""
-        ring = self.ring
-        entries = tuple(RingElement(ring, x) for row in rows for x in row[lo:hi])
-        return Matrix(ring, len(rows), hi - lo, entries)
+        return from_payload_grid(self.ring, [row[lo:hi] for row in rows], hi - lo)
 
 
 def _unit_row(ring: Ring, i: int, size: int) -> list:

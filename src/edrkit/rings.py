@@ -34,6 +34,14 @@ is packed into one integer, so a shear is one bignum expression per
 column; Z shears entry by entry on native ints, and the finite carriers
 through their _add and _mul, in place.
 
+Element literals are read and written one at a time by _parse and _format,
+and a matrix row at a time by _parse_row and _format_row.  The row codecs
+default to the per-entry loop; Z reads a row with one int() pass and
+writes it with one str() pass, and GF(p)[x] reads each coefficient with
+int().  A row the fast pass refuses, because a token is malformed or an
+integer is past the interpreter's int/str digit limit, is read again
+token by token, so errors and text match the per-token codecs.
+
 Elements are immutable and kept in canonical form, so structural equality
 coincides with ring equality.  All operations are pure; rings and elements
 are safe to share across threads.
@@ -210,6 +218,17 @@ class Ring(ABC):
 
     @abstractmethod
     def _parse(self, text: str) -> Any: ...
+
+    def _parse_row(self, tokens: list[str]) -> list:
+        """The payloads of a row of element literals, parsed as _parse would
+        one by one; the first malformed token raises its RingParseError.
+        This default is the per-token loop."""
+        return [self._parse(t) for t in tokens]
+
+    def _format_row(self, payloads) -> str:
+        """A row of payloads as space-separated literals, as _format writes
+        each.  This default is the per-entry loop."""
+        return " ".join(map(self._format, payloads))
 
     @abstractmethod
     def _ideal_has_one(self, xs: tuple) -> bool:
@@ -519,6 +538,20 @@ class IntegerRing(EuclideanRing):
 
     def _parse(self, text):
         return _parse_int(text)
+
+    # rows through int() and str() in one C loop; a token int() refuses and
+    # an int past the interpreter's digit limit take the per-entry path
+    def _parse_row(self, tokens):
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            return super()._parse_row(tokens)
+
+    def _format_row(self, payloads):
+        try:
+            return " ".join(map(str, payloads))
+        except ValueError:
+            return super()._format_row(payloads)
 
     def _is_unit(self, x):
         return x in (1, -1)
@@ -989,10 +1022,20 @@ class PolynomialRing(EuclideanRing):
         return (len(x), x)
 
     def _format(self, x):
-        return ",".join(str(c) for c in x) if x else "0"
+        return ",".join(map(str, x)) if x else "0"
 
     def _parse(self, text):
         return _parse_poly(text, self.p)
+
+    def _parse_row(self, tokens):
+        # a valid coefficient is an int() literal unless it is past the
+        # digit limit; that one, and an empty or malformed one, takes
+        # _parse_poly, which splits it or names it
+        p = self.p
+        try:
+            return [_poly_trim([int(c) % p for c in tok.split(",")]) for tok in tokens]
+        except ValueError:
+            return super()._parse_row(tokens)
 
     def _is_unit(self, x):
         return len(x) == 1

@@ -44,19 +44,18 @@ def check_certificate(ring: Ring, source: Matrix, cert: ReductionCertificate) ->
         raise CertificateShapeError(
             f"blocks {p.shape}/{d.shape}/{q.shape} do not fit a {source.shape} matrix"
         )
-    product = ring._matmul(ring._matmul(p.payload_grid(), source.payload_grid()), q.payload_grid())
-    if product != d.payload_grid():
+    p_grid, d_grid, q_grid = p.payload_grid(), d.payload_grid(), q.payload_grid()
+    if ring._matmul(ring._matmul(p_grid, source.payload_grid()), q_grid) != d_grid:
         return "product"
-    for block in (p, q):
-        if not ring._is_unit(ring._det(block.payload_grid())):
+    for grid in (p_grid, q_grid):
+        if not ring._is_unit(ring._det(grid)):
             return "unit-determinant"
     zero = ring._zero()
-    grid = d.payload_grid()
     for i in range(d.rows):
         for j in range(d.cols):
-            if i != j and grid[i][j] != zero:
+            if i != j and d_grid[i][j] != zero:
                 return "chain"
-    diag = [grid[i][i] for i in range(min(d.rows, d.cols))]
+    diag = [d_grid[i][i] for i in range(min(d.rows, d.cols))]
     for prev, nxt in zip(diag, diag[1:]):
         if ring._divides(prev, nxt) is None:
             return "chain"

@@ -5,6 +5,8 @@ import time
 import weakref
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edrkit import (
     CardinalityBoundError,
@@ -12,6 +14,7 @@ from edrkit import (
     InfiniteRingError,
     IntegerModRing,
     IntegerRing,
+    PolynomialQuotientRing,
     ProductRing,
     PropertyReport,
     RingMismatchError,
@@ -143,6 +146,52 @@ def test_all_properties_hold_with_full_domains(ring):
         assert report.holds, report.line()
         assert report.checked == EXPECTED_DOMAIN[prop](ring.cardinality)
         assert report.counterexample is None
+
+
+# the arity-3 sweep and the diadem search cost about 100 times more than
+# the other checkers: up to seconds each on a ring of 48 elements
+_COSTLY = {RingProperty.STABLE_RANGE_2, RingProperty.DYADIC_RANGE_1}
+
+
+def _small_factors(limit):
+    """Z/n and GF(p)[x]/(f) with at most limit elements."""
+    moduli = st.integers(2, limit).map(IntegerModRing)
+    shapes = [(p, d) for p in (2, 3, 5, 7) for d in range(1, 6) if p**d <= limit]
+    polys = st.sampled_from(shapes).flatmap(
+        lambda pd: st.tuples(
+            st.lists(st.integers(0, pd[0] - 1), min_size=pd[1], max_size=pd[1]),
+            st.integers(1, pd[0] - 1),
+        ).map(lambda fl: PolynomialQuotientRing(pd[0], (*fl[0], fl[1])))
+    )
+    return st.one_of(moduli, polys)
+
+
+@st.composite
+def _small_rings(draw, limit=48):
+    """A ring of at most limit elements: one factor, or a left-associated
+    product ((A x B) x C) of them."""
+    ring = draw(_small_factors(limit))
+    for _ in range(draw(st.integers(0, 2))):
+        room = limit // ring.cardinality
+        if room < 2:
+            break
+        ring = ProductRing(ring, draw(_small_factors(room)))
+    return ring
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(_small_rings())
+@example(LocalNonPrincipalRing())  # where hermite fails
+def test_every_negative_report_replays_as_genuine(ring):
+    for prop, checker in CHECKERS.items():
+        if prop in _COSTLY and ring.cardinality > 12:
+            continue
+        report = checker(ring, bound=None)
+        assert report.checked == EXPECTED_DOMAIN[prop](ring.cardinality)
+        if report.holds:
+            assert report.counterexample is None, report.line()
+        else:
+            assert counterexample_is_genuine(report) is True, report.line()
 
 
 def test_checkers_reject_infinite_rings_and_bounds():

@@ -210,6 +210,88 @@ def test_parse_errors_quote_a_bounded_prefix():
         assert str(err.value) == message
 
 
+# -- row codecs ------------------------------------------------------------------
+
+_CODEC_RINGS = [
+    Z,
+    PolynomialRing(2),
+    PolynomialRing(5),
+    PolynomialRing(251),
+    PolynomialRing(65537),
+    IntegerModRing(12),
+    IntegerModRing(10**9 + 7),
+    PolynomialQuotientRing(5, (2, 0, 1)),
+    ProductRing(IntegerModRing(4), PolynomialRing(3)),
+    ProductRing(ProductRing(Z, IntegerModRing(6)), PolynomialQuotientRing(2, (1, 1, 1))),
+]
+
+# tokens the per-token parsers refuse on some carrier (or, like the
+# Arabic-Indic "\u0663", accept); whitespace never reaches a token
+_JUNK_TOKENS = [
+    "1,,0", ",", "1,", ",1", "1__0", "_1", "1_", "x", "--1", "1e3", "0x10", "1.0",
+    "\u00e9", "\u00b2", "\u0663", "\u00bd", "(1|2", "1|2)", "(1|x)", "(|)", "(1|(2|3))",
+    "9" * 4400 + "x",
+]
+
+
+def _int_literals():
+    return st.one_of(
+        st.integers(-(10**30), 10**30).map(str),
+        st.integers(0, 10**6).map(lambda n: f"+{n}"),
+        st.integers(0, 10**9).map(lambda n: f"{n:_}"),
+        st.integers(0, 999).map(lambda n: f"-00{n}"),
+        # past the interpreter's 4300-digit int/str limit
+        st.integers(4301, 4400).map(lambda k: "7" * k),
+    )
+
+
+def _literals(ring):
+    """Valid element literals of ring, canonical or not."""
+    if isinstance(ring, EuclideanQuotientRing):
+        return _literals(ring.base)
+    if isinstance(ring, IntegerRing):
+        return _int_literals()
+    if isinstance(ring, PolynomialRing):
+        return st.lists(_int_literals(), min_size=1, max_size=5).map(",".join)
+    return st.tuples(_literals(ring.left), _literals(ring.right)).map(
+        lambda pair: f"({pair[0]}|{pair[1]})"
+    )
+
+
+def _outcome(parse):
+    """The payloads parse returns, or what its RingParseError says."""
+    try:
+        return parse()
+    except RingParseError as err:
+        return ("refused", str(err), err.position)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_row_codecs_match_the_per_token_codecs(data):
+    # the per-token _parse and _format are the reference for the row codecs
+    # (each carrier's fast path and its fallbacks), on valid rows and on rows
+    # holding junk, under CPython's default int/str digit limit
+    ring = data.draw(st.sampled_from(_CODEC_RINGS), label="ring")
+    tokens = data.draw(st.lists(_literals(ring), max_size=6), label="tokens")
+    junk = data.draw(st.lists(st.sampled_from(_JUNK_TOKENS), max_size=2), label="junk")
+    places = [data.draw(st.integers(0, len(tokens) + k), label="at") for k in range(len(junk))]
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        payloads = [ring._parse(t) for t in tokens]
+        assert ring._parse_row(tokens) == payloads
+        text = ring._format_row(payloads)
+        assert text == " ".join(ring._format(x) for x in payloads)
+        assert ring._parse_row(text.split()) == payloads
+        for at, token in zip(places, junk):
+            tokens.insert(at, token)
+        got = _outcome(lambda: ring._parse_row(tokens))
+        assert got == _outcome(lambda: [ring._parse(t) for t in tokens])
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def test_is_prime_matches_trial_division():
     assert [n for n in range(-5, 10**5) if is_prime(n)] == [
         n for n in range(-5, 10**5) if trial_division_is_prime(n)

@@ -59,3 +59,31 @@ def test_verifier_never_calls_the_producers_kernels():
         if isinstance(node, ast.Attribute) and node.attr in {"_add_col", "_col_block"}
     ]
     assert found == []
+
+
+def test_producer_and_verifier_stay_on_the_payload_grid():
+    # the verifier reads payload grids, never boxed entries, and the reducer
+    # builds matrices from payload grids only, so neither pays for a
+    # RingElement per entry on the certificate round trip
+    def tree(name):
+        path = SRC / name
+        return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+    found = [
+        f"verification.py:{node.lineno} .entries"
+        for node in ast.walk(tree("verification.py"))
+        if isinstance(node, ast.Attribute) and node.attr == "entries"
+    ]
+    for node in ast.walk(tree("reduction.py")):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "Matrix":
+            found.append(f"reduction.py:{node.lineno} Matrix(...)")
+        elif (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "Matrix"
+        ):
+            found.append(f"reduction.py:{node.lineno} Matrix.{func.attr}(...)")
+    assert found == []
