@@ -4,6 +4,10 @@ Outputs are line-oriented, deterministic, and versioned with a leading
 `# edr-kit v1` comment.  Exit codes: 0 success (or property holds),
 1 negative verdict or unsupported operation, 2 parse or usage error.
 Prefix negative element literals with `--`, e.g. `diadem Z 7 -- -5`.
+
+Each verb imports the layers it runs, so one process compiles only those:
+argv that argparse rejects loads no ring module, and a verb over Z or Z/n
+never loads the GF(p)[x] carrier.
 """
 
 from __future__ import annotations
@@ -11,29 +15,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .finite_lab import (
-    CHECKERS,
-    DEFAULT_PAIR_BOUND,
-    DEFAULT_TRIPLE_BOUND,
-    CardinalityBoundError,
-    DiademEvidence,
-    RingProperty,
-    find_diadem,
-    is_comaximal,
-    is_diadem_via_quotient,
-)
-from .matrices import format_certificate, parse_certificate, parse_matrix
-from .reduction import smith_normal_form, stable_range_2_witness
-from .rings import (
-    InfiniteRingError,
-    RingParseError,
-    UnsupportedRingError,
-    quotient_ring,
-    ring_parse,
-)
-from .verification import CertificateShapeError, check_certificate
+from .properties import DEFAULT_PAIR_BOUND, DEFAULT_TRIPLE_BOUND, RingProperty
 
 HEADER = "# edr-kit v1"
+
+# the properties `check` decides, in the order of finite_lab.CHECKERS
+_CHECKED_PROPERTIES = tuple(p for p in RingProperty if p is not RingProperty.ASSOCIATE_DIADEMS)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -57,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "property",
         help="property name or 'all': "
-        + ", ".join(p.value for p in CHECKERS),
+        + ", ".join(p.value for p in _CHECKED_PROPERTIES),
     )
     p_check.add_argument(
         "--bound",
@@ -94,6 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_file(path: str) -> str:
+    from .rings import RingParseError
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
@@ -102,6 +91,10 @@ def _read_file(path: str) -> str:
 
 
 def _cmd_snf(args, out) -> int:
+    from .matrices import format_certificate, parse_matrix
+    from .reduction import smith_normal_form
+    from .rings import ring_parse
+
     ring = ring_parse(args.ring)
     matrix = parse_matrix(ring, _read_file(args.matrix))
     cert = smith_normal_form(ring, matrix)
@@ -115,6 +108,9 @@ def _cmd_snf(args, out) -> int:
 
 
 def _cmd_check(args, out) -> int:
+    from .finite_lab import CHECKERS
+    from .rings import InfiniteRingError, RingParseError, ring_parse
+
     ring = ring_parse(args.ring)
     if not ring.finite:
         raise InfiniteRingError(f"infinite ring {ring.spec()}")
@@ -138,17 +134,22 @@ def _cmd_check(args, out) -> int:
 
 
 def _cmd_diadem(args, out) -> int:
+    from . import finite_lab
+    from .rings import quotient_ring, ring_parse
+
     ring = ring_parse(args.ring)
     a = ring.parse_element(args.a)
     b = ring.parse_element(args.b)
-    if not is_comaximal(ring, (a, b)):
+    if not finite_lab.is_comaximal(ring, (a, b)):
         print("pair not comaximal", file=sys.stderr)
         return EXIT_NEGATIVE
-    witness = find_diadem(ring, a, b)
-    if witness.evidence is DiademEvidence.QUOTIENT_STABLE_RANGE_1:
+    witness = finite_lab.find_diadem(ring, a, b)
+    if witness.evidence is finite_lab.DiademEvidence.QUOTIENT_STABLE_RANGE_1:
         # spot-certify the quotient criterion when the quotient is small
         small = quotient_ring(ring, witness.diadem).cardinality <= args.bound
-        if small and not is_diadem_via_quotient(ring, a, b, witness.multiplier, args.bound):
+        if small and not finite_lab.is_diadem_via_quotient(
+            ring, a, b, witness.multiplier, args.bound
+        ):
             raise AssertionError("diadem failed its quotient spot-certification")
     out.write(HEADER + "\n")
     out.write(
@@ -163,6 +164,10 @@ def _cmd_diadem(args, out) -> int:
 
 
 def _cmd_witness(args, out) -> int:
+    from .finite_lab import is_comaximal
+    from .reduction import stable_range_2_witness
+    from .rings import ring_parse
+
     ring = ring_parse(args.ring)
     a, b, c = (ring.parse_element(t) for t in (args.a, args.b, args.c))
     if not is_comaximal(ring, (a, b, c)):
@@ -178,6 +183,10 @@ def _cmd_witness(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    from .matrices import parse_certificate, parse_matrix
+    from .rings import ring_parse
+    from .verification import check_certificate
+
     ring = ring_parse(args.ring)
     matrix = parse_matrix(ring, _read_file(args.matrix))
     cert = parse_certificate(ring, _read_file(args.certificate))
@@ -206,6 +215,14 @@ def main(argv: list[str] | None = None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
+    from .rings import (
+        CardinalityBoundError,
+        CertificateShapeError,
+        InfiniteRingError,
+        RingParseError,
+        UnsupportedRingError,
+    )
+
     try:
         return _COMMANDS[args.verb](args, out)
     except (RingParseError, CertificateShapeError, InfiniteRingError, CardinalityBoundError) as exc:

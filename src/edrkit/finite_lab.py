@@ -18,7 +18,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .properties import DEFAULT_PAIR_BOUND, DEFAULT_TRIPLE_BOUND, RingProperty
 from .rings import (
+    CardinalityBoundError,
     EuclideanRing,
     InfiniteRingError,
     Ring,
@@ -31,27 +33,6 @@ from .rings import (
     quotient_ring,
     jacobson_radical,
 )
-
-# Exhaustive checks refuse rings above these cardinalities unless the caller
-# raises the bound; the triple-quantifier sweeps grow like |R|^5.
-DEFAULT_PAIR_BOUND = 50
-DEFAULT_TRIPLE_BOUND = 16
-
-
-class CardinalityBoundError(ValueError):
-    """The ring is too large for the requested exhaustive check."""
-
-
-class RingProperty(enum.Enum):
-    STABLE_RANGE_1 = "stable-range-1"
-    STABLE_RANGE_2 = "stable-range-2"
-    IDEMPOTENT_STABLE_RANGE_1 = "idempotent-stable-range-1"
-    CLEAN = "clean"
-    EXCHANGE = "exchange"
-    GELFAND = "gelfand"
-    HERMITE = "hermite"
-    DYADIC_RANGE_1 = "dyadic-range-1"
-    ASSOCIATE_DIADEMS = "associate-diadems"
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 Supported carriers: the integers Z, residue rings Z/n, polynomial rings
 GF(p)[x], their quotients GF(p)[x]/(f), and finite products.  quotient_ring
-builds every principal quotient of these as one of these.
+builds every principal quotient of these as one of these.  GF(p)[x] and
+GF(p)[x]/(f) live in edrkit.polynomials with their Kronecker kernels;
+ring_parse loads that module when it reads a GF( literal, so a process
+that works over Z or Z/n never compiles them.
 
 Z and GF(p)[x] subclass EuclideanRing, which supplies division with
 remainder, the extended gcd, unit inverses and canonical associates
@@ -17,22 +20,13 @@ generators' gcds into one principal generator, and the determinant
 (Ring._det) is Bareiss elimination on Z and GF(p)[x], the base ring's
 determinant reduced mod m on a quotient, and a pair on a product.  One
 Bareiss loop serves both domains; the update of the rows below a pivot
-(EuclideanRing._bareiss_rows) runs on native ints over Z and, over GF(p)[x],
-as one Kronecker-packed expression per row with the exact division by the
-previous pivot done as a product with its power-series inverse.
-
-GF(p)[x] multiplies by Kronecker substitution once the shorter operand has
-_KRONECKER_MIN_LEN coefficients: the coefficients are packed into slots of
-one integer per operand, and one integer product is unpacked and reduced
-modulo p.  Shorter operands, and pairs whose slots would need more than 8
-bytes (p above about 2^32), take the schoolbook loop.  A matrix product
-(Ring._matmul) sums each dot product as native ints: on Z directly, on
-GF(p)[x] over entries packed once into such slots; the finite carriers
-take the schoolbook loop.  The reducer's column shears (Ring._add_col,
-Ring._col_block) work the same way on GF(p)[x]: each column of the tableau
-is packed into one integer, so a shear is one bignum expression per
-column; Z shears entry by entry on native ints, and the finite carriers
-through their _add and _mul, in place.
+(EuclideanRing._bareiss_rows) runs on native ints over Z and as one
+Kronecker-packed expression per row over GF(p)[x].  A matrix product
+(Ring._matmul) sums each dot product as native ints on Z and GF(p)[x]; the
+finite carriers take the schoolbook loop.  The reducer's column shears
+(Ring._add_col, Ring._col_block) run entry by entry on native ints over Z,
+whole columns at a time over GF(p)[x], and through _add and _mul on the
+finite carriers, in place.
 
 Element literals are read and written one at a time by _parse and _format,
 and a matrix row at a time by _parse_row and _format_row.  The row codecs
@@ -53,7 +47,6 @@ import itertools
 import math
 import operator
 import re
-import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -78,6 +71,14 @@ class UnsupportedRingError(ValueError):
 
 class InfiniteRingError(ValueError):
     """A finite ring is required."""
+
+
+class CardinalityBoundError(ValueError):
+    """The ring is too large for the requested exhaustive check."""
+
+
+class CertificateShapeError(ValueError):
+    """Certificate block shapes do not fit the matrix being verified."""
 
 
 @dataclass(frozen=True)
@@ -240,6 +241,12 @@ class Ring(ABC):
     @abstractmethod
     def _divides(self, x: Any, y: Any) -> Any | None:
         """The canonically least q with x*q = y, or None."""
+
+    def _is_normalized(self, x: Any) -> bool:
+        """Whether x is canonical as a diagonal entry of a certificate, the
+        verifier's normalization clause.  Every payload is, unless a carrier
+        picks one associate (Z: nonnegative; GF(p)[x]: zero or monic)."""
+        return True
 
     # -- finite enumeration (cached) -----------------------------------
 
@@ -556,6 +563,9 @@ class IntegerRing(EuclideanRing):
     def _is_unit(self, x):
         return x in (1, -1)
 
+    def _is_normalized(self, x):
+        return x >= 0
+
     def _divmod(self, x, d):
         return divmod(x, d)
 
@@ -682,7 +692,7 @@ def _int_excerpt(n: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over GF(p): payloads are trimmed low-to-high coefficient tuples
+# Primality, for the characteristic of GF(p)[x]
 # ---------------------------------------------------------------------------
 
 # Miller-Rabin with the first 13 primes as bases is exact below psi_13, the
@@ -710,372 +720,6 @@ def is_prime(n: int) -> bool:
         if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(s)):
             return False
     return True
-
-
-def _poly_trim(coeffs) -> tuple:
-    """coeffs as a tuple without trailing zeros; a trimmed tuple comes back as is."""
-    cs = tuple(coeffs)
-    end = len(cs)
-    while end and not cs[end - 1]:
-        end -= 1
-    return cs if end == len(cs) else cs[:end]
-
-
-# Kronecker substitution (Harvey, "Faster polynomial multiplication via
-# multipoint Kronecker substitution", JSC 44, 2009): each operand's
-# coefficients fill fixed-width little-endian slots of one integer, and one
-# bignum product holds the integer convolution, one coefficient per slot.
-# A slot must hold (p - 1)^2 times the shorter operand's length.  Slots are
-# 1, 2, 4 or 8 bytes wide, the unsigned widths struct packs; an operand pair
-# that needs a wider slot (p above about 2^32) takes the schoolbook loop.
-# A whole column packs the same way, one block of equal length per entry
-# (_pack_column): blocks long enough for every product leave each block of
-# the result column its own entry, and 1-byte slots are reduced mod p by
-# one bytes.translate over the whole column and trimmed by rstrip.
-_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-# Shorter operands take the schoolbook loop: 6 is the least length at which
-# packing won at every slot width.  Packed over schoolbook time per call
-# (Python 3.11, 2-vCPU x86 VM, min of 11 interleaved runs of 3000 calls, two
-# runs, equal lengths, p = 5, 31, 251, 65537 for slots of 1, 2, 4, 8 bytes):
-# length 2 x1.48-2.61, 3 x1.15-2.20, 4 x0.82-1.70, 5 x0.68-1.22,
-# 6 x0.70-0.94, 8 x0.41-0.63.
-_KRONECKER_MIN_LEN = 6
-
-
-def _slot(bound: int) -> tuple[int, str] | None:
-    """(width, struct code) of the narrowest slot holding 0..bound, or None
-    when that needs more than 8 bytes."""
-    needed = max(1, (bound.bit_length() + 7) // 8)
-    width = 1 << (needed - 1).bit_length()
-    code = _SLOT_CODES.get(width)
-    return None if code is None else (width, code)
-
-
-def _pack(coeffs: tuple, code: str) -> int:
-    """The integer whose little-endian slots of struct code hold coeffs."""
-    data = bytes(coeffs) if code == "B" else struct.pack(f"<{len(coeffs)}{code}", *coeffs)
-    return int.from_bytes(data, "little")
-
-
-def _pack_column(entries: list, size: int, code: str) -> int:
-    """The integer holding each entry in its own block of size slots of
-    struct code, the first entry in the lowest block."""
-    if code == "B":
-        data = b"".join([bytes(x).ljust(size, b"\0") for x in entries])
-    else:
-        padded = itertools.chain.from_iterable(x + (0,) * (size - len(x)) for x in entries)
-        data = struct.pack(f"<{len(entries) * size}{code}", *padded)
-    return int.from_bytes(data, "little")
-
-
-@cache
-def _mod_table(p: int) -> bytes:
-    """bytes.translate table taking each byte to its residue mod p."""
-    return bytes(c % p for c in range(256))
-
-
-def _unpack_column(total: int, count: int, size: int, slot: tuple[int, str], p: int) -> list:
-    """The count GF(p)[x] payloads held in blocks of size slots by total."""
-    width, code = slot
-    end = count * size
-    data = total.to_bytes(end * width, "little")
-    if code == "B":
-        # reduce every slot at once, cut the blocks, trim their zero bytes
-        blocks = struct.unpack(f"{size}s" * count, data.translate(_mod_table(p)))
-        return list(map(tuple, map(bytes.rstrip, blocks, itertools.repeat(b"\0"))))
-    coeffs = [c % p for c in struct.unpack(f"<{end}{code}", data)]
-    return [_poly_trim(coeffs[k : k + size]) for k in range(0, end, size)]
-
-
-def _series_inverse(c: tuple, m: int, p: int) -> tuple:
-    """The GF(p)[x] payload of c^-1 mod x^m, for c with c(0) != 0."""
-    inv0 = pow(c[0], -1, p)
-    out = [inv0]
-    for r in range(1, m):
-        acc = sum(c[u] * out[r - u] for u in range(1, min(r + 1, len(c))))
-        out.append(-acc * inv0 % p)
-    return _poly_trim(out)
-
-
-def _poly_payloads(p: int) -> Iterator[tuple]:
-    """Every GF(p)[x] payload: by degree, then by coefficients low to high."""
-    yield ()
-    for length in itertools.count(1):
-        for low in itertools.product(range(p), repeat=length - 1):
-            for lead in range(1, p):
-                yield low + (lead,)
-
-
-def _parse_poly(text: str, p: int) -> tuple:
-    coeffs = []
-    for part in text.strip().split(","):
-        part = part.strip()
-        if not part:
-            raise RingParseError(f"empty coefficient in {_excerpt(text)}")
-        try:
-            coeffs.append(_parse_int(part) % p)
-        except RingParseError:
-            raise RingParseError(f"invalid coefficient {_excerpt(part)}") from None
-    return _poly_trim(coeffs)
-
-
-@dataclass(frozen=True)
-class PolynomialRing(EuclideanRing):
-    """GF(p)[x], a Euclidean (hence Bezout) domain."""
-
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} not prime")
-
-    def spec(self) -> str:
-        return f"GF({self.p})[x]"
-
-    def _canonical(self, value):
-        if isinstance(value, RingElement):
-            self._check(value)
-            return value.payload
-        if isinstance(value, int) and not isinstance(value, bool):
-            return _poly_trim((value % self.p,))
-        if isinstance(value, (tuple, list)):
-            return _poly_trim(c % self.p for c in value)
-        raise TypeError(f"polynomial payload expected, got {value!r}")
-
-    def _zero(self):
-        return ()
-
-    def _one(self):
-        return (1,)
-
-    def _add(self, x, y):
-        if len(x) < len(y):
-            x, y = y, x
-        p = self.p
-        low = [(a + b) % p for a, b in zip(x, y)]
-        if len(x) > len(y):
-            # the tail ends in x's nonzero leading coefficient
-            return (*low, *x[len(y) :])
-        return _poly_trim(low)
-
-    def _neg(self, x):
-        p = self.p
-        return tuple([-c % p for c in x])
-
-    def _mul(self, x, y):
-        if len(x) > len(y):
-            x, y = y, x
-        if not x:
-            return ()
-        # p is prime, so the leading coefficient x[-1] * y[-1] is nonzero
-        # modulo p and no product needs trimming
-        p, n = self.p, len(x) + len(y) - 1
-        if len(x) == 1:
-            a = x[0]
-            return tuple([a * c % p for c in y])
-        slot = _slot((p - 1) ** 2 * len(x)) if len(x) >= _KRONECKER_MIN_LEN else None
-        if slot is None:
-            out = [0] * n
-            for i, a in enumerate(x):
-                if a:
-                    for j, b in enumerate(y, i):
-                        out[j] = (out[j] + a * b) % p
-            return tuple(out)
-        width, code = slot
-        data = (_pack(x, code) * _pack(y, code)).to_bytes(n * width, "little")
-        slots = data if code == "B" else struct.unpack(f"<{n}{code}", data)
-        return tuple([c % p for c in slots])
-
-    def _matmul(self, left, right):
-        # Kronecker substitution on whole dot products: each entry is packed
-        # once and each sum of products is one native int expression.  A
-        # slot holds k * (p - 1)^2 * min(longest left, longest right entry).
-        columns = list(zip(*right))
-        p = self.p
-        shortest = min(
-            max(map(len, itertools.chain.from_iterable(left)), default=0),
-            max(map(len, itertools.chain.from_iterable(columns)), default=0),
-        )
-        if not shortest:
-            # every product is zero, and a zero bound gives slots too narrow
-            # for the other side's coefficients
-            return [[()] * len(columns) for _ in left]
-        slot = _slot(len(right) * (p - 1) ** 2 * shortest)
-        if slot is None:
-            return super()._matmul(left, right)
-        width, code = slot
-        bits = 8 * width
-        rows = [[_pack(x, code) for x in row] for row in left]
-        cols = [[_pack(y, code) for y in col] for col in columns]
-        out = []
-        for row in rows:
-            out_row = []
-            for col in cols:
-                total = sum(map(operator.mul, row, col))
-                n = -(-total.bit_length() // bits)
-                data = total.to_bytes(n * width, "little")
-                slots = data if code == "B" else struct.unpack(f"<{n}{code}", data)
-                out_row.append(_poly_trim([c % p for c in slots]))
-            out.append(out_row)
-        return out
-
-    def _add_col(self, rows, i, j, f):
-        # Kronecker substitution on whole columns: each column is one integer
-        # with a block of `size` slots per entry, wide enough that f * y never
-        # spills into the next block, so one bignum expression is the column.
-        # Only the rows with y nonzero take part.  A slot holds
-        # (p - 1) + (p - 1)^2 * min(len f, longest y).
-        ys = [row[j] for row in rows]
-        live = list(itertools.compress(rows, ys))
-        if not f or not live:
-            return
-        ys = list(filter(None, ys))
-        longest_y = max(map(len, ys))
-        p = self.p
-        slot = _slot(p - 1 + (p - 1) ** 2 * min(len(f), longest_y))
-        if slot is None:
-            return super()._add_col(rows, i, j, f)
-        xs = [row[i] for row in live]
-        size = max(max(map(len, xs)), len(f) + longest_y - 1)
-        code = slot[1]
-        total = _pack_column(xs, size, code) + _pack(f, code) * _pack_column(ys, size, code)
-        for row, x in zip(live, _unpack_column(total, len(live), size, slot, p)):
-            row[i] = x
-
-    def _col_block(self, rows, i, j, t):
-        # as _add_col, over the rows with x or y nonzero; a slot holds
-        # 2 (p - 1)^2 * min(longest x or y, longest t)
-        live = [row for row in rows if row[i] or row[j]]
-        if not live:
-            return
-        xs = [row[i] for row in live]
-        ys = [row[j] for row in live]
-        longest = max(max(map(len, xs)), max(map(len, ys)))
-        longest_t = max(len(e) for pair in t for e in pair)
-        if not longest_t:
-            # slots sized for the zero products could not hold x or y
-            for row in live:
-                row[i] = row[j] = ()
-            return
-        p = self.p
-        slot = _slot(2 * (p - 1) ** 2 * min(longest, longest_t))
-        if slot is None:
-            return super()._col_block(rows, i, j, t)
-        size = longest + longest_t - 1
-        code = slot[1]
-        x, y = _pack_column(xs, size, code), _pack_column(ys, size, code)
-        (t00, t01), (t10, t11) = [[_pack(e, code) for e in pair] for pair in t]
-        count = len(live)
-        new_i = _unpack_column(x * t00 + y * t10, count, size, slot, p)
-        new_j = _unpack_column(x * t01 + y * t11, count, size, slot, p)
-        for row, a, b in zip(live, new_i, new_j):
-            row[i], row[j] = a, b
-
-    def _bareiss_rows(self, rows, k, prev):
-        # Kronecker substitution on whole row tails: each row's numerator
-        # pivot * R_i + (-lead) * R_k is one bignum expression with every slot
-        # nonnegative, one block of `size` slots per entry.  Dividing it by
-        # prev = x^v c, c(0) != 0, drops v slots and multiplies by the power
-        # series inverse of c modulo x^m, m bounding the quotient's length.
-        # That is right only because Bareiss divisions are exact (Sylvester's
-        # identity): each numerator N is x^v c q with len q <= m, so
-        # q = (N / x^v) c^-1 mod x^m.  The v slots dropped from each block's
-        # bottom hold multiples of p, not zeros; they land at the top of the
-        # block below, past its first m slots, and spill only multiples of p
-        # into the first m slots of their own block.  A slot holds
-        # (p - 1)^2 (min(len pivot, longest x) + min(longest lead, longest y))
-        # times the sum of the inverse's coefficients.
-        row_k, below = rows[k], rows[k + 1 :]
-        pivot, tail_k = row_k[k], row_k[k + 1 :]
-        tails = [row[k + 1 :] for row in below]
-        leads = [self._neg(row[k]) for row in below]
-        longest_x = max(len(x) for tail in tails for x in tail)
-        longest_y, longest_lead = max(map(len, tail_k)), max(map(len, leads))
-        longest = max(len(pivot) + longest_x, longest_lead + longest_y) - 1
-        m = longest - len(prev) + 1
-        terms = min(len(pivot), longest_x) + min(longest_lead, longest_y)
-        if m <= 0 or not terms:
-            # every numerator is zero, or shorter than prev and so, by
-            # exactness, zero; slots sized for it could not hold the operands
-            for row in below:
-                row[k + 1 :] = [()] * len(tail_k)
-            return
-        p = self.p
-        v = next(e for e, c in enumerate(prev) if c)
-        inverse = _series_inverse(prev[v:], m, p)
-        slot = _slot((p - 1) ** 2 * terms * sum(inverse))
-        if slot is None:
-            return super()._bareiss_rows(rows, k, prev)
-        width, code = slot
-        size = longest + m - 1
-        shift = 8 * width * v
-        pivot_n, inverse_n = _pack(pivot, code), _pack(inverse, code)
-        y = _pack_column(tail_k, size, code)
-        count = len(tail_k)
-        for row, tail, lead in zip(below, tails, leads):
-            total = pivot_n * _pack_column(tail, size, code) + _pack(lead, code) * y
-            quotients = _unpack_column((total >> shift) * inverse_n, count, size, slot, p)
-            row[k + 1 :] = [_poly_trim(q[:m]) for q in quotients]
-
-    def _sort_key(self, x):
-        return (len(x), x)
-
-    def _format(self, x):
-        return ",".join(map(str, x)) if x else "0"
-
-    def _parse(self, text):
-        return _parse_poly(text, self.p)
-
-    def _parse_row(self, tokens):
-        # a valid coefficient is an int() literal unless it is past the
-        # digit limit; that one, and an empty or malformed one, takes
-        # _parse_poly, which splits it or names it
-        p = self.p
-        try:
-            return [_poly_trim([int(c) % p for c in tok.split(",")]) for tok in tokens]
-        except ValueError:
-            return super()._parse_row(tokens)
-
-    def _is_unit(self, x):
-        return len(x) == 1
-
-    def _divmod(self, x, d):
-        if not d:
-            raise ZeroDivisionError("polynomial division by zero")
-        p, top = self.p, len(d) - 1
-        if len(x) <= top:
-            return (), x
-        inv_lead = pow(d[-1], -1, p)
-        rem = list(x)
-        # x's leading coefficient makes the quotient's nonzero, so it needs
-        # no trimming; each step clears rem[k + top], so the remainder is
-        # rem[:top]
-        quot = [0] * (len(x) - top)
-        for k in range(len(quot) - 1, -1, -1):
-            coef = rem[k + top] * inv_lead % p
-            if coef:
-                quot[k] = coef
-                for j, b in enumerate(d, k):
-                    rem[j] = (rem[j] - coef * b) % p
-        return tuple(quot), _poly_trim(rem[:top])
-
-    def _unit_inverse(self, u):
-        return (pow(u[0], -1, self.p),)
-
-    def _normalizer(self, x):
-        return self._unit_inverse((x[-1],)) if x and x[-1] != 1 else None
-
-    def _first_associate(self, x):
-        # _sort_key compares the lowest coefficients first
-        low = next((c for c in x if c), 1)
-        return x if low == 1 else self._mul(self._unit_inverse((low,)), x)
-
-    def _quotient(self, m):
-        return PolynomialQuotientRing(self.p, m) if m else self
-
-    def _enumerate_payloads(self):
-        return _poly_payloads(self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -1212,23 +856,6 @@ class IntegerModRing(EuclideanQuotientRing):
         return range(self.modulus)
 
 
-class PolynomialQuotientRing(EuclideanQuotientRing):
-    """GF(p)[x]/(f) for a nonzero f, stored monic; finite with p^deg(f) elements."""
-
-    def __init__(self, p: int, modulus):
-        super().__init__(PolynomialRing(p), modulus)
-
-    @property
-    def cardinality(self) -> int:
-        return self.base.p ** (len(self.modulus) - 1)
-
-    def spec(self) -> str:
-        return f"GF({self.base.p})[x]/({self.base._format(self.modulus)})"
-
-    def _enumerate_payloads(self):
-        return itertools.islice(_poly_payloads(self.base.p), self.cardinality)
-
-
 # ---------------------------------------------------------------------------
 # Products
 # ---------------------------------------------------------------------------
@@ -1252,7 +879,11 @@ class ProductRing(Ring):
         return self.left.cardinality * self.right.cardinality
 
     def spec(self) -> str:
-        return f"{self.left.spec()} x {self.right.spec()}"
+        # products associate to the left, so a product on the right is grouped
+        right = self.right.spec()
+        if isinstance(self.right, ProductRing):
+            right = f"({right})"
+        return f"{self.left.spec()} x {right}"
 
     def _canonical(self, value):
         if isinstance(value, RingElement):
@@ -1446,26 +1077,48 @@ def annihilator(ring: Ring, a: RingElement) -> frozenset:
 def ring_parse(spec: str) -> Ring:
     """Parse a ring literal.
 
-    Grammar: Z | Z/<n> | GF(<p>)[x] | GF(<p>)[x]/(<coeffs>) | <ring> x <ring>,
-    with <coeffs> a comma-separated low-to-high coefficient list.  Products
-    associate to the left.
+    Grammar: Z | Z/<n> | GF(<p>)[x] | GF(<p>)[x]/(<coeffs>) | <ring> x <ring>
+    | (<ring>), with <coeffs> a comma-separated low-to-high coefficient list.
+    Products associate to the left; parentheses group a product on the right.
     """
-    parts: list[tuple[str, int]] = []
-    offset = 0
-    rest = spec
-    while True:
-        idx = rest.find(" x ")
-        if idx < 0:
-            parts.append((rest, offset))
-            break
-        parts.append((rest[:idx], offset))
-        offset += idx + 3
-        rest = rest[idx + 3 :]
-    rings = [_parse_ring_atom(text, pos) for text, pos in parts]
+    return _parse_ring(spec, 0)
+
+
+def _parse_ring(text: str, pos: int) -> Ring:
+    """The ring literal text, which starts at position pos of the whole literal."""
+    rings = []
+    for part, offset in _product_factors(text):
+        stripped = part.strip()
+        if stripped.startswith("(") and stripped.endswith(")"):
+            lead = len(part) - len(part.lstrip())
+            rings.append(_parse_ring(stripped[1:-1], pos + offset + lead + 1))
+        else:
+            rings.append(_parse_ring_atom(part, pos + offset))
     result = rings[0]
     for r in rings[1:]:
         result = ProductRing(result, r)
     return result
+
+
+_PRODUCT_TOKENS = re.compile(r"[()]| x ")
+
+
+def _product_factors(text: str) -> list[tuple[str, int]]:
+    """The factors of text split at each " x " outside parentheses, with
+    their offsets, leftmost first."""
+    parts = []
+    depth = start = 0
+    for match in _PRODUCT_TOKENS.finditer(text):
+        token = match.group()
+        if token == "(":
+            depth += 1
+        elif token == ")":
+            depth -= 1
+        elif depth == 0:
+            parts.append((text[start : match.start()], start))
+            start = match.end()
+    parts.append((text[start:], start))
+    return parts
 
 
 def _parse_ring_atom(text: str, pos: int) -> Ring:
@@ -1497,6 +1150,8 @@ def _parse_ring_atom(text: str, pos: int) -> Ring:
             raise RingParseError(str(exc), pos + 3) from None
         if not prime:
             raise RingParseError(f"{p} not prime", pos + 3)
+        from .polynomials import PolynomialQuotientRing, PolynomialRing, _parse_poly
+
         tail = stripped[close + 1 :]
         if tail == "[x]":
             return PolynomialRing(p)

@@ -145,8 +145,8 @@ def test_diadem_failed_spot_certification_exits_2_under_optimize():
     # python -O strips assert statements, so the check must be an explicit
     # raise: a diadem that fails its own certificate is an internal error
     script = (
-        "import sys, edrkit.cli as cli\n"
-        "cli.is_diadem_via_quotient = lambda *args: False\n"
+        "import sys, edrkit.cli as cli, edrkit.finite_lab as finite_lab\n"
+        "finite_lab.is_diadem_via_quotient = lambda *args: False\n"
         "sys.exit(cli.main(['diadem', 'Z', '3', '5']))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -166,8 +166,8 @@ def test_diadem_spot_certification_covers_polynomials_under_optimize():
     # the spot-check is bounded by the quotient's cardinality, so it also
     # runs over GF(p)[x]: GF(5)[x]/(x + 1) has 5 elements
     script = (
-        "import sys, edrkit.cli as cli\n"
-        "cli.is_diadem_via_quotient = lambda *args: False\n"
+        "import sys, edrkit.cli as cli, edrkit.finite_lab as finite_lab\n"
+        "finite_lab.is_diadem_via_quotient = lambda *args: False\n"
         "sys.exit(cli.main(['diadem', 'GF(5)[x]', '1,1', '0,1']))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -462,6 +462,147 @@ def test_cli_import_leaves_decimal_out():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
+def _loaded_modules(argv):
+    """The edrkit submodules a fresh process holds after cli.main(argv), or
+    after a bare `import edrkit` when argv is None."""
+    if argv is None:
+        call = "import edrkit"
+    else:
+        call = "import edrkit.cli; edrkit.cli.main(sys.argv[1:], out=io.StringIO())"
+    script = (
+        "import contextlib, io, sys\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    {call}\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('edrkit.'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *(argv or [])],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
+    # a process compiles every module it imports, so a verb must not pull in
+    # the layers it never runs
+    matrix, cert = tmp_path / "m.txt", tmp_path / "c.txt"
+    matrix.write_text("2 2\n2 0\n0 3\n", encoding="utf-8")
+    out = io.StringIO()
+    assert main(["snf", "Z", str(matrix)], out=out) == 0
+    cert.write_text(out.getvalue(), encoding="utf-8")
+    ring_modules = {"edrkit.rings", "edrkit.polynomials"}
+    cases = [
+        (["verify", "Z", str(matrix), str(cert)], {"edrkit.verification"},
+         {"edrkit.reduction", "edrkit.finite_lab", "edrkit.polynomials"}),
+        (["snf", "Z", str(matrix)], {"edrkit.reduction"}, {"edrkit.verification", "edrkit.polynomials"}),
+        (["check", "Z/12", "all"], {"edrkit.finite_lab"},
+         {"edrkit.matrices", "edrkit.reduction", "edrkit.verification", "edrkit.polynomials"}),
+        (["frobnicate"], set(), ring_modules),
+        (["snf"], set(), ring_modules),
+        (["snf", "GF(5)[x]", str(matrix)], {"edrkit.polynomials", "edrkit.reduction"}, {"edrkit.verification"}),
+    ]
+    for argv, loaded, left_out in cases:
+        modules = _loaded_modules(argv)
+        assert loaded <= modules, (argv, modules)
+        assert not modules & left_out, (argv, modules)
+    assert _loaded_modules(None) == set()
+
+
+HELP = {
+    "": """usage: edr-kit [-h] {snf,check,diadem,witness,verify} ...
+
+Exact diagonal reduction and ring-property checking
+
+positional arguments:
+  {snf,check,diadem,witness,verify}
+    snf                 diagonal reduction certificate for a matrix
+    check               exhaustive property check on a finite ring
+    diadem              diadem witness for a comaximal pair
+    witness             stable-range-2 shortening of a comaximal triple
+    verify              check a reduction certificate
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "snf": """usage: edr-kit snf [-h] [--output OUTPUT] ring matrix
+
+positional arguments:
+  ring             ring literal (Z or GF(p)[x])
+  matrix           path to a matrix file
+
+options:
+  -h, --help       show this help message and exit
+  --output OUTPUT  write the certificate here instead of stdout
+""",
+    "check": """usage: edr-kit check [-h] [--bound BOUND] ring property
+
+positional arguments:
+  ring           finite ring literal
+  property       property name or 'all': stable-range-1, stable-range-2,
+                 idempotent-stable-range-1, clean, exchange, gelfand, hermite,
+                 dyadic-range-1
+
+options:
+  -h, --help     show this help message and exit
+  --bound BOUND  cardinality bound override (defaults: 50 pair-quantifier, 16
+                 triple-quantifier)
+""",
+    "diadem": """usage: edr-kit diadem [-h] [--bound BOUND] ring a b
+
+positional arguments:
+  ring
+  a
+  b
+
+options:
+  -h, --help     show this help message and exit
+  --bound BOUND  certify the quotient stable-range-1 evidence up to this
+                 quotient size
+""",
+    "witness": """usage: edr-kit witness [-h] ring a b c
+
+positional arguments:
+  ring
+  a
+  b
+  c
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "verify": """usage: edr-kit verify [-h] ring matrix certificate
+
+positional arguments:
+  ring
+  matrix       path to the matrix file
+  certificate  path to the certificate file
+
+options:
+  -h, --help   show this help message and exit
+""",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(HELP))
+def test_help_text(verb, capsys, monkeypatch):
+    # argparse wraps at the terminal width, which COLUMNS fixes
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(*([verb] if verb else []), "--help") == (0, "")
+    assert capsys.readouterr() == (HELP[verb], "")
+
+
+def test_help_and_defaults_follow_the_lab():
+    # the parser is built without loading the lab, from the leaf module
+    from edrkit.cli import build_parser
+    from edrkit.finite_lab import DEFAULT_PAIR_BOUND
+
+    assert "'all': " + ", ".join(p.value for p in CHECKERS) in " ".join(HELP["check"].split())
+    args = build_parser().parse_args(["diadem", "Z", "1", "2"])
+    assert args.bound == DEFAULT_PAIR_BOUND == 50
 
 
 # the malformed argv shapes of perfbench's cli workload (perfbench/workloads.py)

@@ -34,7 +34,8 @@ from edrkit import (
     ring_parse,
 )
 from edrkit.finite_lab import CHECKERS
-from edrkit.rings import Ring, _format_int, _parse_int, _slot, is_prime
+from edrkit.polynomials import _slot
+from edrkit.rings import Ring, _format_int, _parse_int, is_prime
 
 from oracles import (
     CosetQuotientRing,
@@ -558,7 +559,7 @@ def test_integer_shear_kernels_match_the_ring_defaults(rows, order, values):
     ],
 )
 def test_shear_kernels_fill_slots_to_their_bound(name, p, length, width, monkeypatch):
-    import edrkit.rings as rings
+    import edrkit.polynomials as polynomials
 
     ring = PolynomialRing(p)
     entry = (p - 1,) * length
@@ -568,13 +569,13 @@ def test_shear_kernels_fill_slots_to_their_bound(name, p, length, width, monkeyp
         bound, arg = 2 * (p - 1) ** 2 * length, ((entry, entry), (entry, entry))
     slot = _slot(bound)
     assert (slot and slot[0]) == width
-    widths, unpack = [], rings._unpack_column
+    widths, unpack = [], polynomials._unpack_column
 
     def spied(total, count, size, slot, p):
         widths.append(slot[0])
         return unpack(total, count, size, slot, p)
 
-    monkeypatch.setattr(rings, "_unpack_column", spied)
+    monkeypatch.setattr(polynomials, "_unpack_column", spied)
     rows = [[entry, entry, ()], [(), entry, entry], [entry, (), entry]]
     packed, looped = [list(row) for row in rows], [list(row) for row in rows]
     getattr(ring, name)(packed, 0, 1, arg)
@@ -1138,6 +1139,53 @@ def test_product_and_quotient_literals_round_trip(data):
         elem = r.element(_draw_payload(data, r))
         assert r.parse_element(r.format_element(elem)) == elem
 
+
+def _draw_product_tree(data, depth=0):
+    """A literal factor, or a product of two trees, nested on either side."""
+    if depth == 3 or not data.draw(st.booleans()):
+        return _draw_literal_factor(data)
+    return ProductRing(_draw_product_tree(data, depth + 1), _draw_product_tree(data, depth + 1))
+
+
+def _left_associated(ring):
+    return not isinstance(ring, ProductRing) or (
+        not isinstance(ring.right, ProductRing) and _left_associated(ring.left)
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_nested_product_literals_round_trip(data):
+    # a product on the right is parenthesized; a left-associated product
+    # keeps the bare " x "-joined spec
+    ring = _draw_product_tree(data)
+    spec = ring.spec()
+    if _left_associated(ring):
+        assert spec == " x ".join(f.spec() for f in _factors(ring))
+    if any(f.is_zero_ring for f in _factors(ring)):
+        with pytest.raises(RingParseError):
+            ring_parse(spec)
+        return
+    assert ring_parse(spec) == ring
+    elem = ring.element(_draw_payload(data, ring))
+    assert ring.parse_element(ring.format_element(elem)) == elem
+
+
+def test_right_nested_product_spec():
+    inner = ProductRing(ring_parse("GF(3)[x]/(1,0,1)"), IntegerModRing(4))
+    ring = ProductRing(IntegerModRing(6), inner)
+    assert ring.spec() == "Z/6 x (GF(3)[x]/(1,0,1) x Z/4)"
+    assert ring_parse(ring.spec()) == ring
+    left = ProductRing(ProductRing(IntegerModRing(6), inner.left), inner.right)
+    assert left.spec() == "Z/6 x GF(3)[x]/(1,0,1) x Z/4"
+    assert ring_parse(left.spec()) == left != ring
+    assert ring_parse("(Z/6 x (Z/4)) x ( Z/9 )") == ProductRing(
+        ProductRing(IntegerModRing(6), IntegerModRing(4)), IntegerModRing(9)
+    )
+    for bad, position in [("Z/6 x (Z/4 x Q)", 13), ("Z/6 x ( Z/4 x Z/1)", 16), ("Z x ()", 5)]:
+        with pytest.raises(RingParseError) as err:
+            ring_parse(bad)
+        assert err.value.position == position, bad
 
 def test_finite_enumeration_comes_in_canonical_order():
     # _payloads does not sort: each carrier yields its payloads in order

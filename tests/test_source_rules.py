@@ -36,27 +36,27 @@ def test_verifier_imports_only_matrices_and_rings():
 
 def test_producer_never_calls_the_verifiers_kernels():
     # the verifier checks with the ring's own determinant (and its Bareiss
-    # row kernel) and matrix-product kernels, so its independence rests on
-    # the reducer never calling them
+    # row kernel), matrix-product kernel and normalization predicate, so its
+    # independence rests on the reducer never calling them
     path = SRC / "reduction.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     found = [
         f"reduction.py:{node.lineno} {node.attr}"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in {"_det", "_bareiss_rows", "_matmul"}
+        if isinstance(node, ast.Attribute) and node.attr in {"_det", "_bareiss_rows", "_matmul", "_is_normalized"}
     ]
     assert found == []
 
 
 def test_verifier_never_calls_the_producers_kernels():
-    # the reducer's column shears live in the ring layer beside the
-    # verifier's kernels, so the verifier must never reach for them
+    # the reducer's column shears and its normalizer live in the ring layer
+    # beside the verifier's kernels, so the verifier must never reach for them
     path = SRC / "verification.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     found = [
         f"verification.py:{node.lineno} {node.attr}"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in {"_add_col", "_col_block"}
+        if isinstance(node, ast.Attribute) and node.attr in {"_add_col", "_col_block", "_normalizer"}
     ]
     assert found == []
 
