@@ -29,7 +29,6 @@ from .rings import (
     _excerpt,
     _generator,
     _int_excerpt,
-    ideal_span,
     quotient_ring,
     jacobson_radical,
 )
@@ -98,11 +97,13 @@ class CoprimeSplitting:
 
 
 def ideal_generated(ring: Ring, generators: Sequence[RingElement]) -> frozenset:
-    """The ideal generated by the elements of a finite ring, as an element set."""
+    """The ideal generated by the elements of a finite ring, as an element set:
+    the multiples of one generator folded from their gcds."""
     for g in generators:
         ring._check(g)
-    span = ideal_span(ring, tuple(g.payload for g in generators))
-    return frozenset(RingElement(ring, x) for x in span)
+    elems = ring._payloads  # raises InfiniteRingError first on an infinite ring
+    g = _generator(ring, (e.payload for e in generators))
+    return frozenset(RingElement(ring, ring._mul(g, r)) for r in elems)
 
 
 def is_comaximal(ring: Ring, elems: Sequence[RingElement]) -> bool:
@@ -231,15 +232,21 @@ def check_clean(ring: Ring, bound: int | None = DEFAULT_PAIR_BOUND) -> PropertyR
     return _sweep(ring, RingProperty.CLEAN, bound)
 
 
+def _divisors_of(ring: Ring, y) -> frozenset:
+    """All x with y in xR."""
+    return frozenset(x for x in ring._payloads if ring._divides(x, y) is not None)
+
+
 def _exchange_violation(ring: Ring, tuples):
-    idems = ring._idempotents
     one = ring._one()
-    ideals = {x: ring._principal(x) for x in ring._payloads}
+    # e in aR and 1 - e in bR, as a divides e and b divides 1 - e
+    splits = [
+        (_divisors_of(ring, e), _divisors_of(ring, ring._sub(one, e))) for e in ring._idempotents
+    ]
     for a, b in tuples:
         if not ring._ideal_has_one((a, b)):
             continue
-        aR, bR = ideals[a], ideals[b]
-        if not any(e in aR and ring._sub(one, e) in bR for e in idems):
+        if not any(a in left and b in right for left, right in splits):
             return (("a", a), ("b", b))
     return None
 
@@ -252,12 +259,14 @@ def check_exchange(ring: Ring, bound: int | None = DEFAULT_PAIR_BOUND) -> Proper
 def _gelfand_violation(ring: Ring, tuples):
     one = ring._one()
     zero = ring._zero()
+    cosets: dict = {}  # x -> 1 + xR, built once per call: each b = 1 - a is an a too
     for (a,) in tuples:
         b = ring._sub(one, a)
         # 1 + a*x and 1 + b*y range over the cosets 1 + aR and 1 + bR
-        lefts = {ring._add(one, r) for r in ring._principal(a)}
-        rights = {ring._add(one, r) for r in ring._principal(b)}
-        if not any(ring._mul(left, right) == zero for left in lefts for right in rights):
+        for x in (a, b):
+            if x not in cosets:
+                cosets[x] = {ring._add(one, r) for r in {ring._mul(x, y) for y in ring._payloads}}
+        if not any(ring._mul(left, right) == zero for left in cosets[a] for right in cosets[b]):
             return (("a", a), ("b", b))
     return None
 
@@ -271,7 +280,6 @@ def check_gelfand(ring: Ring, bound: int | None = DEFAULT_PAIR_BOUND) -> Propert
     return _sweep(ring, RingProperty.GELFAND, bound)
 
 
-@_per_ring
 def _quotients_by(ring: Ring, g) -> dict:
     """target payload -> tuple of q with g*q = target, in canonical order."""
     table: dict = {}
@@ -282,12 +290,13 @@ def _quotients_by(ring: Ring, g) -> dict:
 
 def _hermite_violation(ring: Ring, tuples):
     # (a b) completes to (g, 0) under an invertible Q iff a = g*a1, b = g*b1
-    # with (a1, b1) comaximal; then Q is built from a1*u + b1*v = 1.
-    ideals = [(ring._principal(g), _quotients_by(ring, g)) for g in ring._payloads]
+    # with (a1, b1) comaximal; then Q is built from a1*u + b1*v = 1.  The
+    # keys of g's quotient table make up gR.
+    tables = [_quotients_by(ring, g) for g in ring._payloads]
     has_one = ring._ideal_has_one
     for a, b in tuples:
-        for gR, table in ideals:
-            if a in gR and b in gR and any(map(has_one, itertools.product(table[a], table[b]))):
+        for quot in tables:
+            if a in quot and b in quot and any(map(has_one, itertools.product(quot[a], quot[b]))):
                 break
         else:
             return (("a", a), ("b", b))
@@ -424,8 +433,8 @@ def check_dyadic_range_1(
 def _associate_diadems_violation(ring: Ring, tuples):
     elems = ring._payloads
     for a, b in tuples:
-        if ring._principal(a) != ring._principal(b):
-            continue
+        if ring._divides(a, b) is None or ring._divides(b, a) is None:
+            continue  # aR != bR
         if not (
             any(ring._mul(a, d) == b and _is_diadem_payload(ring, d) for d in elems)
             and any(ring._mul(b, d) == a and _is_diadem_payload(ring, d) for d in elems)

@@ -437,24 +437,20 @@ def stable_range_2_witness(
 ) -> SR2Witness:
     """Shorten a comaximal triple: p, q with gcd(a + c*p, b + c*q) a unit.
 
-    Construction: write bR + cR = dR, take a diadem nu = a + d*t of the
-    pair (a, d) (so nu = a + b*x + c*y with x, y the scaled cofactors),
-    complete to gcd(nu, b + c*m) = 1, split 1 = nu*s + (b + c*m)*w, and
-    resolve u*s + h*(x*s + w) = y*s + m*w; then (p, q) = (u, h).  The
-    witness equation is checked before returning.
+    Construction: write bR + cR = dR, take from diadem_step a diadem
+    nu = a + d*t of the pair (a, d) (so nu = a + b*x + c*y with x, y the
+    scaled cofactors), complete to gcd(nu, b + c*m) = 1, split
+    1 = nu*s + (b + c*m)*w, and resolve u*s + h*(x*s + w) = y*s + m*w; then
+    (p, q) = (u, h).  The witness equation is checked before returning.
     """
     _require_bezout_domain(ring)
     if not is_comaximal(ring, (a, b, c)):
         raise ValueError("triple is not comaximal")
     zero = ring.zero
-    d_cert = bezout_gcd(ring, b, c)
-    if d_cert.g == zero:
+    if b == c == zero:
         witness = SR2Witness(a, b, c, zero, zero)
     else:
-        diadem = find_diadem(ring, a, d_cert.g)
-        t = diadem.multiplier
-        nu = diadem.diadem
-        x, y = d_cert.u * t, d_cert.v * t
+        x, y, nu = diadem_step(ring, b, a, c)
         m = RingElement(
             ring, _comaximal_completion(ring, nu.payload, b.payload, c.payload)
         )

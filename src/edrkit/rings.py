@@ -15,10 +15,12 @@ Z/n and GF(p)[x]/(f) subclass EuclideanQuotientRing, which derives units,
 divisibility and gcd certificates from the base ring's extended gcd, so
 none of them enumerates the ring; a product takes them componentwise.
 Finite rings answer through that structure as well: every carrier yields
-its payloads in canonical order (no sort), ideal_span folds the
-generators' gcds into one principal generator, and the determinant
-(Ring._det) is Bareiss elimination on Z and GF(p)[x], the base ring's
-determinant reduced mod m on a quotient, and a pair on a product.  One
+its payloads in canonical order (no sort), an ideal is the one
+generator _generator folds from its generators' gcds, y lies in xR when
+_divides(x, y) finds a quotient, the Jacobson radical is the set of
+nilpotents, and the determinant (Ring._det) is Bareiss elimination on Z
+and GF(p)[x], the base ring's determinant reduced mod m on a quotient,
+and a pair on a product.  One
 Bareiss loop serves both domains; the update of the rows below a pivot
 (EuclideanRing._bareiss_rows) runs on native ints over Z and as one
 Kronecker-packed expression per row over GF(p)[x].  A matrix product
@@ -54,10 +56,12 @@ from typing import Any, Iterator
 
 
 class RingParseError(ValueError):
-    """Malformed ring or element literal; carries the offending position."""
+    """Malformed ring or element literal; carries the bare message and the
+    offending position."""
 
     def __init__(self, message: str, position: int = 0):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 
@@ -271,18 +275,9 @@ class Ring(ABC):
 
     @cached_property
     def _memo(self) -> dict:
-        """Memo that dies with the ring: principal ideals keyed by generator
-        payload, the exhaustive helpers' tables keyed by helper function."""
+        """Memo that dies with the ring: the finite lab's diadem verdicts,
+        keyed by helper function."""
         return {}
-
-    def _principal(self, x: Any) -> frozenset:
-        """The principal ideal xR as a payload set (finite rings)."""
-        memo = self._memo
-        got = memo.get(x)
-        if got is None:
-            got = frozenset(self._mul(x, r) for r in self._payloads)
-            memo[x] = got
-        return got
 
     # -- public element API --------------------------------------------
 
@@ -996,13 +991,6 @@ def _generator(ring: Ring, payloads) -> Any:
     return g
 
 
-def ideal_span(ring: Ring, payloads: tuple) -> frozenset:
-    """The ideal generated by the payloads in a finite ring, as a payload set."""
-    if not ring.finite:
-        raise InfiniteRingError(f"{ring.spec()} is infinite")
-    return ring._principal(_generator(ring, payloads))
-
-
 def bezout_gcd(ring: Ring, a: RingElement, b: RingElement) -> BezoutCertificate:
     """Gcd with cofactors: g, u, v, a1, b1 with a*u + b*v = g, a = g*a1, b = g*b1.
 
@@ -1044,16 +1032,29 @@ class JacobsonRadicalSet:
 
 
 def jacobson_radical(ring: Ring) -> JacobsonRadicalSet:
+    """J(R) of a finite ring, found as its nilpotent elements.
+
+    A finite commutative ring is Artinian, so J(R) is the nilradical
+    (Atiyah & Macdonald, Introduction to Commutative Algebra, Cor. 8.2).
+    A nilpotent x of index k gives k strict inclusions
+    R > xR > ... > x^k R = 0 (x^i R = x^(i+1) R would give
+    x^i = x^(i+k) r^k = 0), each of index at least 2, so 2^k <= |R| and
+    k < |R|.bit_length().  Squaring s = |R|.bit_length().bit_length()
+    times reaches x^(2^s) with 2^s > k, which is 0 exactly when x is
+    nilpotent.
+    """
     if not ring.finite:
         raise InfiniteRingError(f"jacobson_radical needs a finite ring, not {ring.spec()}")
-    one = ring._one()
-    units = ring._unit_set
-    members = frozenset(
-        x
-        for x in ring._payloads
-        if all(ring._sub(one, ring._mul(x, r)) in units for r in ring._payloads)
-    )
-    return JacobsonRadicalSet(ring, frozenset(RingElement(ring, x) for x in members))
+    zero = ring._zero()
+    squarings = ring.cardinality.bit_length().bit_length()
+    members = []
+    for x in ring._payloads:
+        y = x
+        for _ in range(squarings):
+            y = ring._mul(y, y)
+        if y == zero:
+            members.append(RingElement(ring, x))
+    return JacobsonRadicalSet(ring, frozenset(members))
 
 
 def annihilator(ring: Ring, a: RingElement) -> frozenset:
@@ -1087,7 +1088,7 @@ def ring_parse(spec: str) -> Ring:
 def _parse_ring(text: str, pos: int) -> Ring:
     """The ring literal text, which starts at position pos of the whole literal."""
     rings = []
-    for part, offset in _product_factors(text):
+    for part, offset in _product_factors(text, pos):
         stripped = part.strip()
         if stripped.startswith("(") and stripped.endswith(")"):
             lead = len(part) - len(part.lstrip())
@@ -1102,21 +1103,40 @@ def _parse_ring(text: str, pos: int) -> Ring:
 
 _PRODUCT_TOKENS = re.compile(r"[()]| x ")
 
+# The most factors a ring literal may have, and the deepest its parentheses
+# may nest.  ProductRing's methods (spec, hash, _parse, _mul, ...) recurse
+# once per product level, at most three frames a level, and a literal of
+# 64 factors nests at most 63 levels; _parse_ring recurses once per
+# parenthesis.  Both stay far below CPython's default limit of 1000 frames.
+_MAX_RING_NESTING = 64
 
-def _product_factors(text: str) -> list[tuple[str, int]]:
+
+def _product_factors(text: str, pos: int) -> list[tuple[str, int]]:
     """The factors of text split at each " x " outside parentheses, with
-    their offsets, leftmost first."""
+    their offsets, leftmost first.
+
+    text starts at position pos of the whole literal.  All factors of text,
+    nested ones included, and the depth of its parentheses count towards
+    _MAX_RING_NESTING, so the scan of the whole literal enforces the cap.
+    """
     parts = []
     depth = start = 0
+    factors = 1
     for match in _PRODUCT_TOKENS.finditer(text):
         token = match.group()
         if token == "(":
             depth += 1
         elif token == ")":
             depth -= 1
-        elif depth == 0:
-            parts.append((text[start : match.start()], start))
-            start = match.end()
+        else:
+            factors += 1
+            if depth == 0:
+                parts.append((text[start : match.start()], start))
+                start = match.end()
+        if max(depth, factors) > _MAX_RING_NESTING:
+            raise RingParseError(
+                f"more than {_MAX_RING_NESTING} factors or nested parentheses", pos + match.start()
+            )
     parts.append((text[start:], start))
     return parts
 
@@ -1161,7 +1181,7 @@ def _parse_ring_atom(text: str, pos: int) -> Ring:
             try:
                 coeffs = _parse_poly(coeff_text, p)
             except RingParseError as exc:
-                raise RingParseError(str(exc), coeff_pos) from None
+                raise RingParseError(exc.message, coeff_pos) from None
             if not coeffs:
                 raise RingParseError("zero modulus polynomial", coeff_pos)
             if len(coeffs) == 1:

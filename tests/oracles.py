@@ -4,9 +4,9 @@ These deliberately re-derive results with different algorithms than the
 package under test: determinantal divisors and determinants from raw minor
 expansion and from Berkowitz's division-free algorithm, polynomial
 arithmetic and matrix products from schoolbook loops, Hermite completions
-from brute force over invertible 2x2 matrices, units, quotients, ideals and
-gcd certificates of finite rings from exhaustive search, primality from
-trial division.
+from brute force over invertible 2x2 matrices, units, quotients, ideals,
+Jacobson radicals and gcd certificates of finite rings from exhaustive
+search, primality from trial division.
 """
 
 import math
@@ -18,7 +18,6 @@ from edrkit.rings import (
     Ring,
     RingElement,
     UnsupportedRingError,
-    jacobson_radical,
     quotient_ring,
 )
 
@@ -358,7 +357,7 @@ class CosetQuotientRing(ExhaustiveRing):
 
     @cached_property
     def _rep_map(self):
-        ideal = self.base._principal(self.modulus.payload)
+        ideal = {self.base._mul(self.modulus.payload, r) for r in self.base._payloads}
         reps = {}
         for x in self.base._payloads:  # canonical order: first hit is least
             if x not in reps:
@@ -475,10 +474,21 @@ def brute_ideal_span(ring, payloads):
     return frozenset(span)
 
 
+def definition_jacobson_radical(ring):
+    """J(R) from its definition: every x with 1 - x*r a unit for all r,
+    with units found by exhaustive inverse search."""
+    one = ring._one()
+    units = brute_unit_set(ring)
+    elems = ring._payloads
+    return frozenset(
+        x for x in elems if all(ring._sub(one, ring._mul(x, r)) in units for r in elems)
+    )
+
+
 def first_generator_radical_quotient(ring):
     """R/J(R) as quotient_ring by the first payload in canonical order whose
     principal ideal is the Jacobson radical, found by enumeration."""
-    members = frozenset(e.payload for e in jacobson_radical(ring).members)
+    members = definition_jacobson_radical(ring)
     for g in ring._payloads:
         if frozenset(ring._mul(g, r) for r in ring._payloads) == members:
             return quotient_ring(ring, RingElement(ring, g))

@@ -658,6 +658,23 @@ def test_zero_ring_literals_are_refused(capsys):
         assert "modulus" in capsys.readouterr().err, spec
 
 
+def test_a_modulus_coefficient_error_names_one_position(capsys):
+    assert run_cli("check", "GF(5)[x]/(1,y)", "all") == (2, "")
+    assert capsys.readouterr().err == "error: invalid coefficient 'y' (at position 10)\n"
+
+
+def test_deeply_nested_ring_literals_are_parse_errors(capsys):
+    literals = {
+        "left chain": " x ".join(["Z/2"] * 3000),
+        "parentheses": "(" * 3000 + "Z/2" + ")" * 3000,
+        "right chain": "Z/2 x (" * 2999 + "Z/2" + ")" * 2999,
+    }
+    for shape, literal in literals.items():
+        assert run_cli("check", literal, "clean") == (2, ""), shape
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "internal error" not in err, shape
+
+
 def test_byte_identical_reruns(matrix_file):
     first = run_cli("check", "Z/12", "all")
     second = run_cli("check", "Z/12", "all")

@@ -35,6 +35,7 @@ from edrkit import (
     is_comaximal,
     is_diadem_direct,
     is_diadem_via_quotient,
+    jacobson_radical,
     quotient_ring,
     radical_quotient,
     ring_parse,
@@ -341,6 +342,21 @@ def test_diadem_memos_do_not_keep_rings_alive():
     del ring
     gc.collect()
     assert ref() is None
+
+
+def test_ring_memo_keeps_only_the_diadem_helpers():
+    # ideals are answered by divisibility, so no checker leaves a payload-set
+    # ideal (or a quotient table) on the ring once it returns
+    diadem_memos = {"_is_diadem_payload", "_quotient_has_stable_range_1"}
+    for ring in (IntegerModRing(12), ring_parse("Z/4 x GF(3)[x]/(1,0,1)")):
+        for checker in CHECKERS.values():
+            checker(ring, bound=None)
+        verify_associate_diadems(ring, bound=None)
+        ideal_generated(ring, [ring.element(ring._payloads[2]), ring.element(ring._payloads[3])])
+        jacobson_radical(ring)
+        assert ring._memo, ring.spec()
+        assert all(callable(key) for key in ring._memo), ring.spec()
+        assert {key.__name__ for key in ring._memo} <= diadem_memos, ring.spec()
 
 
 def test_is_diadem_via_quotient_examples():

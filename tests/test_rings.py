@@ -39,9 +39,11 @@ from edrkit.rings import Ring, _format_int, _parse_int, is_prime
 
 from oracles import (
     CosetQuotientRing,
+    LocalNonPrincipalRing,
     brute_bezout,
     brute_divides,
     brute_unit_set,
+    definition_jacobson_radical,
     matmul,
     p_add,
     p_divmod,
@@ -98,6 +100,23 @@ def test_parse_error_carries_position():
     with pytest.raises(RingParseError) as err:
         ring_parse("Z/4 x GF(9)[x]")
     assert err.value.position == 9
+    assert err.value.message == "9 not prime"
+
+
+def test_ring_literals_are_capped_at_64_factors_and_64_parentheses():
+    assert ring_parse(" x ".join(["Z/2"] * 64)).cardinality == 2**64
+    assert ring_parse("(" * 64 + "Z/2" + ")" * 64) == IntegerModRing(2)
+    # the error points at the separator that opens factor 65 (6*64 - 3 on a
+    # left chain, 7*63 + 3 on a right chain) or at the 65th "("
+    for literal, position in [
+        (" x ".join(["Z/2"] * 65), 381),
+        ("(" * 65 + "Z/2" + ")" * 65, 64),
+        ("Z/2 x (" * 64 + "Z/2" + ")" * 64, 444),
+    ]:
+        with pytest.raises(RingParseError) as err:
+            ring_parse(literal)
+        assert err.value.message == "more than 64 factors or nested parentheses"
+        assert err.value.position == position
 
 
 def test_element_literal_round_trips():
@@ -1204,16 +1223,20 @@ def test_jacobson_radical_examples():
 
 
 def test_jacobson_radical_matches_definition_and_is_ideal():
-    for ring in sample_rings():
+    # Z/32 has 2 of nilpotency index 5, so one squaring short of the count
+    # (x^4 for x^8) would miss it
+    rings = sample_rings() + [
+        IntegerModRing(32),
+        IntegerModRing(72),
+        PolynomialQuotientRing(2, (0, 0, 0, 0, 0, 1)),  # x^5
+        PolynomialQuotientRing(3, (1, 2, 2, 2, 1)),  # (x+1)^2 (x^2+1)
+        ring_parse("Z/4 x Z/2 x GF(2)[x]/(0,0,1)"),
+        LocalNonPrincipalRing(),
+    ]
+    for ring in rings:
         members = {e.payload for e in jacobson_radical(ring).members}
-        units = {e.payload for e in ring.elements() if ring.is_unit(e)}
         elems = [e.payload for e in ring.elements()]
-        brute = {
-            x
-            for x in elems
-            if all(ring._sub(ring._one(), ring._mul(x, r)) in units for r in elems)
-        }
-        assert members == brute
+        assert members == definition_jacobson_radical(ring), ring.spec()
         for x in members:
             for y in members:
                 assert ring._add(x, y) in members
