@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .properties import DEFAULT_PAIR_BOUND, DEFAULT_TRIPLE_BOUND, RingProperty
@@ -31,10 +30,11 @@ from .rings import (
     _int_excerpt,
     quotient_ring,
     jacobson_radical,
+    value_class,
 )
 
 
-@dataclass(frozen=True)
+@value_class
 class PropertyReport:
     """Verdict of an exhaustive property check.
 
@@ -71,7 +71,7 @@ class DiademEvidence(enum.Enum):
     TRIVIAL_UNIT = "trivial-unit"
 
 
-@dataclass(frozen=True)
+@value_class
 class DiademWitness:
     """A multiplier t such that a + b*t is a diadem of the comaximal pair (a, b)."""
 
@@ -82,7 +82,7 @@ class DiademWitness:
     evidence: DiademEvidence
 
 
-@dataclass(frozen=True)
+@value_class
 class CoprimeSplitting:
     """c = r*s with gcd(r, s) = gcd(r, a) = gcd(s, b) = 1 over the integers."""
 

@@ -17,9 +17,17 @@ written whole by the ring's row codec (Ring._parse_row, Ring._format_row).
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
-
-from .rings import Ring, RingElement, RingParseError, _excerpt, _int_excerpt, _parse_int
+from .rings import (
+    Ring,
+    RingElement,
+    RingParseError,
+    _excerpt,
+    _frozen_delattr,
+    _frozen_setattr,
+    _int_excerpt,
+    _parse_int,
+    value_class,
+)
 
 
 class Matrix:
@@ -48,11 +56,8 @@ class Matrix:
         ):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
 
     def __eq__(self, other):
         if other.__class__ is not Matrix:
@@ -130,7 +135,7 @@ class Matrix:
         return format_matrix(self)
 
 
-@dataclass(frozen=True)
+@value_class
 class ReductionCertificate:
     """Invertible P, Q and diagonal D with P*A*Q = D and a divisibility chain."""
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import operator
 import struct
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
 
@@ -35,6 +34,7 @@ from .rings import (
     _excerpt,
     _parse_int,
     is_prime,
+    value_class,
 )
 
 
@@ -146,7 +146,7 @@ def _parse_poly(text: str, p: int) -> tuple:
     return _poly_trim(coeffs)
 
 
-@dataclass(frozen=True)
+@value_class
 class PolynomialRing(EuclideanRing):
     """GF(p)[x], a Euclidean (hence Bezout) domain."""
 
@@ -155,6 +155,14 @@ class PolynomialRing(EuclideanRing):
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"{self.p} not prime")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.p == other.p
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p,))
 
     def spec(self) -> str:
         return f"GF({self.p})[x]"

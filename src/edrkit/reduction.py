@@ -16,7 +16,6 @@ whose transpose is the tableau of the transposed problem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .finite_lab import check_gelfand, find_diadem, is_comaximal
 from .matrices import Matrix, ReductionCertificate, from_payload_grid
@@ -28,10 +27,11 @@ from .rings import (
     UnsupportedRingError,
     bezout_gcd,
     quotient_ring,
+    value_class,
 )
 
 
-@dataclass(frozen=True)
+@value_class
 class SR2Witness:
     """p, q with (a + c*p)R + (b + c*q)R = R for a comaximal triple (a, b, c)."""
 

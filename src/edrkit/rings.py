@@ -50,7 +50,6 @@ import math
 import operator
 import re
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Any, Iterator
 
@@ -85,7 +84,99 @@ class CertificateShapeError(ValueError):
     """Certificate block shapes do not fit the matrix being verified."""
 
 
-@dataclass(frozen=True)
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, an attribute of an immutable value."""
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# sets a field past the frozen guard and keeps the instance's attributes
+# inline: writing through self.__dict__ would build a dict per instance and
+# slow every later attribute read
+_set_field = object.__setattr__
+
+
+def value_class(cls):
+    """Make cls an immutable value over its fields, as @dataclass(frozen=True)
+    would, without the dataclasses module or exec.
+
+    The fields are the names cls annotates, after those of its nearest
+    value-class base; they take no defaults.  Unless cls defines its own, it
+    gains an __init__ taking the fields positionally or by keyword and then
+    calling __post_init__ if cls has one, an __eq__ comparing the field
+    tuples of two instances of one class, a __hash__ of the field tuple and
+    a __repr__ naming each field.  Setting or deleting any attribute raises
+    FrozenInstanceError; __post_init__ sets a field with _set_field.  No
+    __slots__: Ring keeps cached_property values in the instance __dict__.
+
+    These methods read the fields by name, so a class on a hot path writes
+    its own __init__, __eq__ and __hash__ with plain attribute reads.
+    """
+    fields = getattr(cls, "_fields", ()) + tuple(cls.__dict__.get("__annotations__", ()))
+    count = len(fields)
+    post_init = hasattr(cls, "__post_init__")
+
+    def values(self):
+        return tuple([getattr(self, name) for name in fields])
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != count:
+            args = _bind(type(self), fields, args, kwargs)
+        for name, value in zip(fields, args):
+            _set_field(self, name, value)
+        if post_init:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values(self)))
+        return f"{self.__class__.__qualname__}({inner})"
+
+    own = cls.__dict__
+    for name, method in (("__init__", __init__), ("__eq__", __eq__), ("__repr__", __repr__)):
+        if name not in own:
+            setattr(cls, name, method)
+    # a class that defines __eq__ alone has __hash__ = None in its namespace
+    if own.get("__hash__") is None:
+        cls.__hash__ = __hash__
+    cls._fields = fields
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    return cls
+
+
+def _bind(cls, fields: tuple, args: tuple, kwargs: dict) -> list:
+    """The field values of cls(*args, **kwargs), or the TypeError of a bad call."""
+    name = cls.__qualname__
+    if len(args) > len(fields):
+        raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+    values = dict(zip(fields, args))
+    for key, value in kwargs.items():
+        if key not in fields:
+            raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+        if key in values:
+            raise TypeError(f"{name}() got multiple values for argument {key!r}")
+        values[key] = value
+    missing = [key for key in fields if key not in values]
+    if missing:
+        raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
+    return [values[key] for key in fields]
+
+
+@value_class
 class RingElement:
     """An element of a ring, stored as a canonical payload.
 
@@ -95,6 +186,20 @@ class RingElement:
 
     ring: "Ring"
     payload: Any
+
+    # the hottest value of the package: its methods are written out, as the
+    # generic ones of value_class cost 2-5 times as much
+    def __init__(self, ring: "Ring", payload: Any):
+        _set_field(self, "ring", ring)
+        _set_field(self, "payload", payload)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ring, self.payload) == (other.ring, other.payload)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ring, self.payload))
 
     def __add__(self, other: "RingElement") -> "RingElement":
         return self.ring.add(self, other)
@@ -294,7 +399,7 @@ class Ring(ABC):
         return RingElement(self, self._one())
 
     def _check(self, a: RingElement) -> None:
-        # identity first: the dataclass __eq__ compares field tuples
+        # identity first: a ring's __eq__ compares field tuples
         if a.ring is not self and a.ring != self:
             raise RingMismatchError(
                 f"element of {a.ring.spec()} used in {self.spec()}"
@@ -469,9 +574,19 @@ class EuclideanRing(Ring):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class IntegerRing(EuclideanRing):
     """The ring of integers."""
+
+    # the rings write out __eq__ and __hash__, as every element hash calls
+    # its ring's; the hash stays that of the field tuple, here ()
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(())
 
     def spec(self) -> str:
         return "Z"
@@ -722,7 +837,7 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class EuclideanQuotientRing(Ring):
     """base/(m) for a nonzero m of a Euclidean ring, m stored canonical.
 
@@ -744,7 +859,15 @@ class EuclideanQuotientRing(Ring):
         if m == self.base._zero():
             raise ValueError(f"zero modulus in a quotient of {self.base.spec()}")
         norm = self.base._normalizer(m)
-        object.__setattr__(self, "modulus", m if norm is None else self.base._mul(norm, m))
+        _set_field(self, "modulus", m if norm is None else self.base._mul(norm, m))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.modulus) == (other.base, other.modulus)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.modulus))
 
     def _reduce(self, x):
         return self.base._divmod(x, self.modulus)[1]
@@ -856,12 +979,20 @@ class IntegerModRing(EuclideanQuotientRing):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class ProductRing(Ring):
     """Componentwise product of two rings; payloads are payload pairs."""
 
     left: Ring
     right: Ring
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
     @property
     def finite(self) -> bool:
@@ -957,8 +1088,23 @@ class ProductRing(Ring):
         )
 
     def _enumerate_payloads(self):
-        # the canonical order compares the left component first
-        return itertools.product(self.left._payloads, self.right._payloads)
+        # left-major, as the canonical order compares the left component
+        # first.  Both components are read lazily, so the first pairs of a
+        # product of 64 factors come at once and no _payloads is built; the
+        # right payloads read in the first row are kept and replayed for the
+        # other rows.  An infinite product is refused: the order would never
+        # leave the first row of Z/2 x Z.
+        if not self.finite:
+            raise InfiniteRingError(f"{self.spec()} is infinite")
+        lefts = iter(self.left._enumerate_payloads())
+        x = next(lefts)
+        rights = []
+        for y in self.right._enumerate_payloads():
+            rights.append(y)
+            yield x, y
+        for x in lefts:
+            for y in rights:
+                yield x, y
 
     def _ideal_has_one(self, xs):
         return self.left._ideal_has_one(
@@ -971,7 +1117,7 @@ class ProductRing(Ring):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class BezoutCertificate:
     """Witness that g generates aR + bR: a*u + b*v = g, a = g*a1, b = g*b1."""
 
@@ -1023,7 +1169,7 @@ def quotient_ring(ring: Ring, c: RingElement) -> Ring:
     return ring._quotient(c.payload)
 
 
-@dataclass(frozen=True)
+@value_class
 class JacobsonRadicalSet:
     """The Jacobson radical of a finite ring: all x with 1 - x*r a unit for every r."""
 

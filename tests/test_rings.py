@@ -1296,3 +1296,30 @@ def test_polynomial_enumeration_order():
     g = PolynomialRing(2)
     it = g._enumerate_payloads()
     assert [next(it) for _ in range(6)] == [(), (1,), (0, 1), (1, 1), (0, 0, 1), (0, 1, 1)]
+
+
+def test_product_enumeration_is_lazy_and_left_major():
+    # 2^64 payloads: the first one must come without building any
+    # component's payload tuple, whichever way the product associates
+    factors = [IntegerModRing(2) for _ in range(64)]
+    left_chain, right_chain = factors[0], factors[-1]
+    for factor in factors[1:]:
+        left_chain = ProductRing(left_chain, factor)
+    for factor in factors[-2::-1]:
+        right_chain = ProductRing(factor, right_chain)
+    for ring in (left_chain, right_chain):
+        assert next(iter(ring._enumerate_payloads())) == ring._zero()
+        stack = [ring]
+        while stack:
+            part = stack.pop()
+            assert "_payloads" not in vars(part), part.spec()
+            if isinstance(part, ProductRing):
+                stack += [part.left, part.right]
+    small = [
+        IntegerModRing(2), IntegerModRing(6), PolynomialQuotientRing(2, (1, 1, 1)),
+        ProductRing(IntegerModRing(2), IntegerModRing(3)),
+    ]
+    for left in small:
+        for right in small:
+            pairs = list(ProductRing(left, right)._enumerate_payloads())
+            assert pairs == list(itertools.product(left._payloads, right._payloads))

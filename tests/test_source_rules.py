@@ -19,6 +19,22 @@ def test_library_has_no_bare_assert():
     assert found == []
 
 
+def test_library_never_imports_dataclasses():
+    # dataclasses imports inspect and builds each class with exec, which a
+    # CLI verb paid on every start; rings.value_class does the same job
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
 def test_verifier_imports_only_matrices_and_rings():
     # the verifier shares no code with the producer: it may use the matrix
     # and ring layers, never reduction or finite_lab
