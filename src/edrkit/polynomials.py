@@ -13,9 +13,14 @@ bytes (p above about 2^32), take the schoolbook loop.  A matrix product
 (Ring._matmul) sums each dot product over entries packed once into such
 slots.  The reducer's column shears (Ring._add_col, Ring._col_block) work
 the same way: each column of the tableau is packed into one integer, so a
-shear is one bignum expression per column.  The Bareiss row kernel
-(_bareiss_rows) packs each row's numerator likewise and does the exact
-division by the previous pivot as a product with its power-series inverse.
+shear is one bignum expression per column.  The size-reduction row kernel
+(_reduce_row) takes a whole row of the tableau modulo its pivot in two
+products: one of the reversed dividends with the power-series inverse of
+the reversed pivot gives every quotient, and one 2-D packing of the
+target columns against the pivot's column applies every shear.  The
+Bareiss row kernel (_bareiss_rows) packs each row's numerator likewise and
+does the exact division by the previous pivot as a product with its
+power-series inverse.  Division by a unit is one scaling pass.
 """
 
 from __future__ import annotations
@@ -107,8 +112,11 @@ def _unpack_column(total: int, count: int, size: int, slot: tuple[int, str], p: 
     end = count * size
     data = total.to_bytes(end * width, "little")
     if code == "B":
-        # reduce every slot at once, cut the blocks, trim their zero bytes
-        blocks = struct.unpack(f"{size}s" * count, data.translate(_mod_table(p)))
+        # reduce every slot at once, cut the blocks, trim their zero bytes;
+        # iter_unpack keeps one short format, where a format of count codes
+        # would leave a large compiled struct in struct's cache per count
+        data = data.translate(_mod_table(p))
+        blocks = map(operator.itemgetter(0), struct.iter_unpack(f"{size}s", data))
         return list(map(tuple, map(bytes.rstrip, blocks, itertools.repeat(b"\0"))))
     coeffs = [c % p for c in struct.unpack(f"<{end}{code}", data)]
     return [_poly_trim(coeffs[k : k + size]) for k in range(0, end, size)]
@@ -306,6 +314,58 @@ class PolynomialRing(EuclideanRing):
         for row, a, b in zip(live, new_i, new_j):
             row[i], row[j] = a, b
 
+    def _reduce_row(self, rows, r):
+        # Two Kronecker products per row.  Quotients (von zur Gathen &
+        # Gerhard, Modern Computer Algebra, 9.1): with L the longest dividend
+        # and m = L - len d + 1, each reversed dividend, zero-padded at the
+        # bottom to length L, times the inverse of the reversed pivot modulo
+        # x^m holds its quotient reversed in the first m slots of its block.
+        # The inverse is negated, so these are the shear factors, and the
+        # bytes read big-endian give each one in order.  A slot holds
+        # (p - 1)^2 min(L, m).  Shears: X, the target columns over the live
+        # rows (column r nonzero) packed target-major, plus F * Y, F each
+        # factor in its own block of live * size slots and Y column r, is
+        # every target column after its shear.  A slot holds
+        # (p - 1) + (p - 1)^2 min(m, longest y), as in _add_col.
+        row = rows[r]
+        d = row[r]
+        targets = [c for c in range(r) if len(row[c]) >= len(d)]
+        if not targets:
+            return
+        live = [tableau_row for tableau_row in rows if tableau_row[r]]
+        ys = [tableau_row[r] for tableau_row in live]
+        longest_x = max(len(row[c]) for c in targets)
+        longest_y = max(map(len, ys))
+        m = longest_x - len(d) + 1
+        p = self.p
+        slot = _slot((p - 1) ** 2 * min(longest_x, m))
+        shear_slot = _slot(p - 1 + (p - 1) ** 2 * min(m, longest_y))
+        if slot is None or shear_slot is None:
+            return super()._reduce_row(rows, r)
+        width, code = slot
+        size = longest_x + m - 1
+        count = len(targets)
+        dividends = [(0,) * (longest_x - len(row[c])) + row[c][::-1] for c in targets]
+        inverse = self._neg(_series_inverse(d[::-1], m, p))
+        total = _pack_column(dividends, size, code) * _pack(inverse, code)
+        data = total.to_bytes(count * size * width, "big")
+        ends = range(count * size, 0, -size)
+        if code == "B":
+            data = data.translate(_mod_table(p))
+            factors = [tuple(data[end - m : end].rstrip(b"\0")) for end in ends]
+        else:
+            coeffs = struct.unpack(f">{count * size}{code}", data)
+            factors = [_poly_trim([c % p for c in coeffs[end - m : end]]) for end in ends]
+        xs = [tableau_row[c] for c in targets for tableau_row in live]
+        size = max(max(map(len, xs)), m + longest_y - 1)
+        code = shear_slot[1]
+        total = _pack_column(xs, size, code) + _pack_column(
+            factors, len(live) * size, code
+        ) * _pack_column(ys, size, code)
+        new = _unpack_column(total, len(xs), size, shear_slot, p)
+        for (c, tableau_row), x in zip(itertools.product(targets, live), new):
+            tableau_row[c] = x
+
     def _bareiss_rows(self, rows, k, prev):
         # Kronecker substitution on whole row tails: each row's numerator
         # pivot * R_i + (-lead) * R_k is one bignum expression with every slot
@@ -381,6 +441,10 @@ class PolynomialRing(EuclideanRing):
         if not d:
             raise ZeroDivisionError("polynomial division by zero")
         p, top = self.p, len(d) - 1
+        if not top:
+            # a unit divisor: the quotient is x scaled, with nothing left
+            inv = pow(d[0], -1, p)
+            return tuple([c * inv % p for c in x]), ()
         if len(x) <= top:
             return (), x
         inv_lead = pow(d[-1], -1, p)

@@ -299,20 +299,14 @@ def _size_reduce(work: _Tracked, start: int, k: int) -> None:
     Each entry left of the diagonal is taken modulo its row's diagonal
     entry by a column shear.  Column r is zero above row r, so the shear
     only touches rows r and below of the reduced column; going top-down
-    leaves every finished row reduced.
+    leaves every finished row reduced.  A row is one call of the ring's
+    row kernel _reduce_row: entry by entry by default, and over GF(p)[x]
+    all of the row's quotients in one packed product and all of its
+    shears in another.
     """
-    ring = work.ring
-    zero = ring._zero()
-    a = work.a
+    ring, a = work.ring, work.a
     for r in range(start, k):
-        d = a[r][r]
-        for c in range(r):
-            x = a[r][c]
-            if x == zero:
-                continue
-            f = ring._divmod(x, d)[0]
-            if f != zero:
-                work.add_col(c, r, ring._neg(f))
+        ring._reduce_row(a, r)
 
 
 def _column_hermite(work: _Tracked) -> int:

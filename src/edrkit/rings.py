@@ -28,7 +28,9 @@ Kronecker-packed expression per row over GF(p)[x].  A matrix product
 finite carriers take the schoolbook loop.  The reducer's column shears
 (Ring._add_col, Ring._col_block) run entry by entry on native ints over Z,
 whole columns at a time over GF(p)[x], and through _add and _mul on the
-finite carriers, in place.
+finite carriers, in place.  Its size reduction of a row
+(EuclideanRing._reduce_row) divides and shears entry by entry over Z and
+takes the whole row in two packed products over GF(p)[x].
 
 Element literals are read and written one at a time by _parse and _format,
 and a matrix row at a time by _parse_row and _format_row.  The row codecs
@@ -532,6 +534,23 @@ class EuclideanRing(Ring):
             g = self._ext_gcd(g, x)[0]
         return self._is_unit(g)
 
+    def _reduce_row(self, rows: list[list], r: int) -> None:
+        """Size-reduce row r of the payload rows in place: every column c < r
+        -= (rows[r][c] div rows[r][r]) * column r, the pivot rows[r][r]
+        nonzero.  Each shear changes only its own column, so every quotient
+        is that of the row as given.  This default divides entry by entry
+        and shears each column with _add_col."""
+        zero = self._zero()
+        row = rows[r]
+        d = row[r]
+        for c in range(r):
+            x = row[c]
+            if x == zero:
+                continue
+            f = self._divmod(x, d)[0]
+            if f != zero:
+                self._add_col(rows, c, r, self._neg(f))
+
     def _det(self, grid):
         """Fraction-free Gaussian elimination (Bareiss 1968).
 
@@ -866,8 +885,15 @@ class EuclideanQuotientRing(Ring):
             return (self.base, self.modulus) == (other.base, other.modulus)
         return NotImplemented
 
+    # a ring's hash is part of every element hash, so it is computed once
+    # and kept as an attribute with _set_field (which, unlike a write to
+    # __dict__, keeps the attributes inline and their reads fast)
     def __hash__(self):
-        return hash((self.base, self.modulus))
+        try:
+            return self._hash
+        except AttributeError:
+            _set_field(self, "_hash", hash((self.base, self.modulus)))
+            return self._hash
 
     def _reduce(self, x):
         return self.base._divmod(x, self.modulus)[1]
@@ -991,8 +1017,14 @@ class ProductRing(Ring):
             return (self.left, self.right) == (other.left, other.right)
         return NotImplemented
 
+    # computed once, as EuclideanQuotientRing's: otherwise every element hash
+    # would walk the product's whole component tree
     def __hash__(self):
-        return hash((self.left, self.right))
+        try:
+            return self._hash
+        except AttributeError:
+            _set_field(self, "_hash", hash((self.left, self.right)))
+            return self._hash
 
     @property
     def finite(self) -> bool:

@@ -31,7 +31,7 @@ from edrkit import (
     stable_range_2_witness,
     verify_certificate,
 )
-from edrkit.rings import Ring
+from edrkit.rings import EuclideanRing, Ring
 
 from oracles import (
     int_determinantal_divisors,
@@ -397,8 +397,8 @@ def _seeded_poly_grid(rng, p, m, n, rank):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_poly_snf_is_identical_under_schoolbook_kernels(p, monkeypatch):
-    # the packed products, column shears and zip-based sums of
-    # PolynomialRing must not change a single P, D or Q entry, nor a verdict
+    # the packed products, column shears, row reductions and zip-based sums
+    # of PolynomialRing must not change a single P, D or Q entry, nor a verdict
     ring = PolynomialRing(p)
     rng = random.Random(f"schoolbook-kernels/{p}")
     shapes = [(12, 12, 12), (12, 12, 5)]
@@ -424,6 +424,7 @@ def test_poly_snf_is_identical_under_schoolbook_kernels(p, monkeypatch):
     monkeypatch.setattr(PolynomialRing, "_divmod", lambda self, x, d: p_divmod(x, d, self.p))
     monkeypatch.setattr(PolynomialRing, "_add_col", Ring._add_col)
     monkeypatch.setattr(PolynomialRing, "_col_block", Ring._col_block)
+    monkeypatch.setattr(PolynomialRing, "_reduce_row", EuclideanRing._reduce_row)
     assert outcomes() == packed
     assert {verdict for _, verdict, _ in packed} == {None}
     assert {verdict for _, _, verdict in packed} == {"product"}
@@ -500,6 +501,36 @@ def test_snf_certificates_match_pinned_wide_slot_digest():
         digest.update(format_certificate(cert).encode())
     assert digest.hexdigest() == (
         "a71741960cdbaf459bfa72893587d4a1e82241868227ee7b1be2676f6c8a485a"
+    )
+
+
+def _size_reduction_corpus():
+    """(ring, grid) pairs whose Hermite passes size-reduce long rows: twelve
+    seeded GF(5)[x] and twelve GF(3)[x] matrices with sides 6-14 and entry
+    degree <= 2, every third with a last row that is a constant multiple of
+    the first."""
+    rng = random.Random("pinned-size-reduction")
+    out = []
+    for p in (5, 3):
+        for k in range(12):
+            m, n = rng.randint(6, 14), rng.randint(6, 14)
+            grid = [[p_trim(tuple(rng.randrange(p) for _ in range(3))) for _ in range(n)] for _ in range(m)]
+            if k % 3 == 2:
+                c = rng.randrange(1, p)
+                grid[-1] = [tuple(c * a % p for a in x) for x in grid[0]]
+            out.append((PolynomialRing(p), grid))
+    return out
+
+
+def test_snf_certificates_match_pinned_size_reduction_digest():
+    # the row kernel _reduce_row must leave every shear, and so P, D and Q,
+    # as the per-entry division and column shears made them
+    digest = hashlib.sha256()
+    for ring, grid in _size_reduction_corpus():
+        cert = smith_normal_form(ring, Matrix.from_rows(ring, grid))
+        digest.update(format_certificate(cert).encode())
+    assert digest.hexdigest() == (
+        "20e56ea8366543e1f6da9341f208cafc9723f4a2e6b6b26780ded2f74de7deb3"
     )
 
 

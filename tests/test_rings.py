@@ -551,6 +551,86 @@ def test_integer_shear_kernels_match_the_ring_defaults(rows, order, values):
         assert native == looped, name
 
 
+# Size reduction of a tableau row: GF(p)[x] finds every quotient of the row
+# in one packed product and applies every shear in another, and must agree
+# with EuclideanRing's per-entry loop; a prime above 2^32 needs wider slots
+# and takes that loop.
+REDUCE_ROW_PRIMES = (2, 5, 251, 65537, 4294967311)
+
+
+@st.composite
+def _row_reduction_operands(draw):
+    p = draw(st.sampled_from(REDUCE_ROW_PRIMES))
+    coeffs = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+    entries = st.one_of(
+        st.just(()),
+        st.integers(1, p - 1).map(lambda c: (c,)),
+        st.lists(coeffs, max_size=12).map(p_trim),
+    )
+    r = draw(st.integers(0, 5))
+    width = r + 1 + draw(st.integers(0, 2))
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width), min_size=r + 1, max_size=r + 8))
+    # a unit pivot when the low coefficients are empty
+    low, lead = draw(st.lists(coeffs, max_size=5)), draw(st.integers(1, p - 1))
+    rows[r][r] = (*low, lead)
+    # column r is zero above row r, and below it too when one row is live
+    single = draw(st.booleans())
+    for k, row in enumerate(rows):
+        if k < r or (single and k > r):
+            row[r] = ()
+    return PolynomialRing(p), rows, r
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_row_reduction_operands())
+# Slots filled to their bound, each pair the largest case at 1 byte and the
+# least at 2.  Quotients over GF(3): the negated inverse of the reversed
+# pivot 1 + 2x is all 2s, as is the dividend, so the last slot a quotient
+# reads holds 4 min(L, m) = 252 at L = 64 and 256 at L = 65.  Shears over
+# GF(2): the factor of an all-ones dividend over the pivot 1 is all ones, as
+# are the other live row's x and y, so a slot holds 1 + 254, then 1 + 255.
+@example((PolynomialRing(3), [[(1,), ()], [(2,) * 64, (2, 1)]], 1))
+@example((PolynomialRing(3), [[(1,), ()], [(2,) * 65, (2, 1)]], 1))
+@example((PolynomialRing(2), [[(1,), ()], [(1,) * 254, (1,)], [(1,) * 254, (1,) * 254]], 1))
+@example((PolynomialRing(2), [[(1,), ()], [(1,) * 255, (1,)], [(1,) * 255, (1,) * 255]], 1))
+def test_polynomial_row_reduction_matches_the_per_entry_loop(case):
+    ring, rows, r = case
+    packed, looped = [list(row) for row in rows], [list(row) for row in rows]
+    ring._reduce_row(packed, r)
+    EuclideanRing._reduce_row(ring, looped, r)
+    assert packed == looped
+    pivot = rows[r][r]
+    assert all(len(x) < len(pivot) for x in packed[r][:r])
+
+
+@pytest.mark.parametrize("p, packed", [(5, True), (65537, True), (4294967311, False)])
+def test_row_reduction_divides_in_one_product_below_the_slot_limit(p, packed, monkeypatch):
+    # the packed kernel never divides entry by entry; past 8-byte slots the
+    # per-entry loop does
+    ring = PolynomialRing(p)
+    rows = [[(1,), (), ()], [(3, 1, 2), (2, 0, 1), ()], [(4, 4, 4, 1), (0, 1, 1), (2, 1)]]
+    divisions = []
+    monkeypatch.setattr(
+        PolynomialRing, "_divmod", lambda self, x, d: divisions.append(d) or p_divmod(x, d, self.p)
+    )
+    looped = [list(row) for row in rows]
+    EuclideanRing._reduce_row(ring, looped, 2)
+    expected, divisions[:] = len(divisions), []
+    ring._reduce_row(rows, 2)
+    assert rows == looped and expected == 2
+    assert len(divisions) == (0 if packed else expected)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(KERNEL_PRIMES), st.data())
+def test_division_by_a_unit_matches_the_schoolbook_loop(p, data):
+    ring = PolynomialRing(p)
+    coeffs = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+    x = p_trim(data.draw(st.lists(coeffs, max_size=40)))
+    d = (data.draw(st.integers(1, p - 1)),)
+    assert ring._divmod(x, d) == p_divmod(x, d, p)
+
+
 # Every coefficient is p - 1, so the slots reach the kernels' bounds: x + f*y
 # reaches (p - 1) + (p - 1)^2 * length and x*t00 + y*t10 reaches
 # 2 (p - 1)^2 * length.  Each pair of rows is the largest case at one width

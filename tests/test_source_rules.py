@@ -65,14 +65,30 @@ def test_producer_never_calls_the_verifiers_kernels():
 
 
 def test_verifier_never_calls_the_producers_kernels():
-    # the reducer's column shears and its normalizer live in the ring layer
-    # beside the verifier's kernels, so the verifier must never reach for them
+    # the reducer's column shears, its row kernel and its normalizer live in
+    # the ring layer beside the verifier's kernels, so the verifier must never
+    # reach for them
     path = SRC / "verification.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     found = [
         f"verification.py:{node.lineno} {node.attr}"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in {"_add_col", "_col_block", "_normalizer"}
+        if isinstance(node, ast.Attribute)
+        and node.attr in {"_add_col", "_col_block", "_reduce_row", "_normalizer"}
+    ]
+    assert found == []
+
+
+def test_producer_divides_only_through_the_row_kernel():
+    # size reduction is the ring's _reduce_row, which over GF(p)[x] finds a
+    # whole row's quotients in one product; a per-entry _divmod in the
+    # reducer would be that loop again beside the kernel
+    path = SRC / "reduction.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found = [
+        f"reduction.py:{node.lineno} {node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_divmod"
     ]
     assert found == []
 

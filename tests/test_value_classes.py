@@ -188,3 +188,29 @@ def test_pickle_copy_and_deepcopy_round_trip(name):
         assert repr(clone) == text
         with pytest.raises(FrozenInstanceError):
             clone.spare = None
+
+
+def test_a_ring_hashes_its_component_tree_once(monkeypatch):
+    # every element hash hashes its ring, so ProductRing and
+    # EuclideanQuotientRing keep their field-tuple hash after the first
+    def product_of_64():
+        ring = IntegerModRing(2)
+        for _ in range(63):
+            ring = ProductRing(ring, IntegerModRing(2))
+        return ring
+
+    ring = product_of_64()
+    e = ring.one
+    first = hash(e)
+    assert hash(ring) == hash((ring.left, ring.right)) == hash(product_of_64())
+    hashed = []
+    for cls in (ProductRing, EuclideanQuotientRing, IntegerRing):
+        inner = cls.__hash__
+
+        def spied(self, inner=inner):
+            hashed.append(self)
+            return inner(self)
+
+        monkeypatch.setattr(cls, "__hash__", spied)
+    assert hash(e) == first
+    assert len(hashed) == 1 and hashed[0] is ring
