@@ -8,12 +8,12 @@ reads a GF( literal.
 GF(p)[x] multiplies by Kronecker substitution once the shorter operand has
 _KRONECKER_MIN_LEN coefficients: the coefficients are packed into slots of
 one integer per operand, and one integer product is unpacked and reduced
-modulo p.  Shorter operands, and pairs whose slots would need more than 8
-bytes (p above about 2^32), take the schoolbook loop.  A matrix product
-(Ring._matmul) sums each dot product over entries packed once into such
-slots.  The reducer's column shears (Ring._add_col, Ring._col_block) work
-the same way: each column of the tableau is packed into one integer, so a
-shear is one bignum expression per column.  The size-reduction row kernel
+modulo p.  Shorter operands take the schoolbook loop.  A slot is as wide as
+its bound needs, for any p, so every kernel below has one path.  A matrix
+product (_matmul) sums each dot product over entries packed once into such
+slots.  The reducer's column shears (_add_col, _col_block) work the same
+way: each column of the tableau is packed into one integer, so a shear is
+one bignum expression per column.  The size-reduction row kernel
 (_reduce_row) takes a whole row of the tableau modulo its pivot in two
 products: one of the reversed dividends with the power-series inverse of
 the reversed pivot gives every quotient, and one 2-D packing of the
@@ -57,12 +57,12 @@ def _poly_trim(coeffs) -> tuple:
 # coefficients fill fixed-width little-endian slots of one integer, and one
 # bignum product holds the integer convolution, one coefficient per slot.
 # A slot must hold (p - 1)^2 times the shorter operand's length.  Slots are
-# 1, 2, 4 or 8 bytes wide, the unsigned widths struct packs; an operand pair
-# that needs a wider slot (p above about 2^32) takes the schoolbook loop.
+# a power of two bytes wide: 1-byte slots pack with bytes() and are reduced
+# mod p by one bytes.translate, 2-, 4- and 8-byte slots pack with struct,
+# and wider ones (p above about 2^32) with int.to_bytes and int.from_bytes.
 # A whole column packs the same way, one block of equal length per entry
 # (_pack_column): blocks long enough for every product leave each block of
-# the result column its own entry, and 1-byte slots are reduced mod p by
-# one bytes.translate over the whole column and trimmed by rstrip.
+# the result column its own entry.
 _SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 # Shorter operands take the schoolbook loop: 6 is the least length at which
@@ -74,30 +74,32 @@ _SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _KRONECKER_MIN_LEN = 6
 
 
-def _slot(bound: int) -> tuple[int, str] | None:
-    """(width, struct code) of the narrowest slot holding 0..bound, or None
-    when that needs more than 8 bytes."""
+def _slot(bound: int) -> tuple[int, str | None]:
+    """(width, struct code) of the narrowest slot holding 0..bound; the
+    code is None for slots wider than 8 bytes."""
     needed = max(1, (bound.bit_length() + 7) // 8)
     width = 1 << (needed - 1).bit_length()
-    code = _SLOT_CODES.get(width)
-    return None if code is None else (width, code)
+    return width, _SLOT_CODES.get(width)
 
 
-def _pack(coeffs: tuple, code: str) -> int:
-    """The integer whose little-endian slots of struct code hold coeffs."""
-    data = bytes(coeffs) if code == "B" else struct.pack(f"<{len(coeffs)}{code}", *coeffs)
-    return int.from_bytes(data, "little")
-
-
-def _pack_column(entries: list, size: int, code: str) -> int:
-    """The integer holding each entry in its own block of size slots of
-    struct code, the first entry in the lowest block."""
-    if code == "B":
-        data = b"".join([bytes(x).ljust(size, b"\0") for x in entries])
+def _pack(coeffs: tuple, slot: tuple[int, str | None]) -> int:
+    """The integer whose little-endian slots hold coeffs."""
+    width, code = slot
+    if width == 1:
+        data = bytes(coeffs)
+    elif code:
+        data = struct.pack(f"<{len(coeffs)}{code}", *coeffs)
     else:
-        padded = itertools.chain.from_iterable(x + (0,) * (size - len(x)) for x in entries)
-        data = struct.pack(f"<{len(entries) * size}{code}", *padded)
+        data = b"".join([c.to_bytes(width, "little") for c in coeffs])
     return int.from_bytes(data, "little")
+
+
+def _pack_column(entries: list, size: int, slot: tuple[int, str | None]) -> int:
+    """The integer holding each entry in its own block of size slots, the
+    first entry in the lowest block."""
+    if slot[0] == 1:
+        return int.from_bytes(b"".join([bytes(x).ljust(size, b"\0") for x in entries]), "little")
+    return _pack([c for x in entries for c in x + (0,) * (size - len(x))], slot)
 
 
 @cache
@@ -106,19 +108,28 @@ def _mod_table(p: int) -> bytes:
     return bytes(c % p for c in range(256))
 
 
-def _unpack_column(total: int, count: int, size: int, slot: tuple[int, str], p: int) -> list:
-    """The count GF(p)[x] payloads held in blocks of size slots by total."""
+def _read(total: int, n: int, slot: tuple[int, str | None], p: int):
+    """The first n slots of total, each reduced mod p: bytes for 1-byte
+    slots, else a list."""
     width, code = slot
+    data = total.to_bytes(n * width, "little")
+    if width == 1:
+        return data.translate(_mod_table(p))
+    if code:
+        return [c % p for c in struct.unpack(f"<{n}{code}", data)]
+    return [int.from_bytes(data[k : k + width], "little") % p for k in range(0, n * width, width)]
+
+
+def _unpack_column(total: int, count: int, size: int, slot: tuple[int, str | None], p: int) -> list:
+    """The count GF(p)[x] payloads held in blocks of size slots by total."""
     end = count * size
-    data = total.to_bytes(end * width, "little")
-    if code == "B":
-        # reduce every slot at once, cut the blocks, trim their zero bytes;
-        # iter_unpack keeps one short format, where a format of count codes
-        # would leave a large compiled struct in struct's cache per count
-        data = data.translate(_mod_table(p))
-        blocks = map(operator.itemgetter(0), struct.iter_unpack(f"{size}s", data))
+    coeffs = _read(total, end, slot, p)
+    if slot[0] == 1:
+        # cut the blocks and trim their zero bytes; iter_unpack keeps one
+        # short format, where a format of count codes would leave a large
+        # compiled struct in struct's cache per count
+        blocks = map(operator.itemgetter(0), struct.iter_unpack(f"{size}s", coeffs))
         return list(map(tuple, map(bytes.rstrip, blocks, itertools.repeat(b"\0"))))
-    coeffs = [c % p for c in struct.unpack(f"<{end}{code}", data)]
     return [_poly_trim(coeffs[k : k + size]) for k in range(0, end, size)]
 
 
@@ -216,18 +227,15 @@ class PolynomialRing(EuclideanRing):
         if len(x) == 1:
             a = x[0]
             return tuple([a * c % p for c in y])
-        slot = _slot((p - 1) ** 2 * len(x)) if len(x) >= _KRONECKER_MIN_LEN else None
-        if slot is None:
+        if len(x) < _KRONECKER_MIN_LEN:
             out = [0] * n
             for i, a in enumerate(x):
                 if a:
                     for j, b in enumerate(y, i):
                         out[j] = (out[j] + a * b) % p
             return tuple(out)
-        width, code = slot
-        data = (_pack(x, code) * _pack(y, code)).to_bytes(n * width, "little")
-        slots = data if code == "B" else struct.unpack(f"<{n}{code}", data)
-        return tuple([c % p for c in slots])
+        slot = _slot((p - 1) ** 2 * len(x))
+        return tuple(_read(_pack(x, slot) * _pack(y, slot), n, slot, p))
 
     def _matmul(self, left, right):
         # Kronecker substitution on whole dot products: each entry is packed
@@ -244,21 +252,15 @@ class PolynomialRing(EuclideanRing):
             # for the other side's coefficients
             return [[()] * len(columns) for _ in left]
         slot = _slot(len(right) * (p - 1) ** 2 * shortest)
-        if slot is None:
-            return super()._matmul(left, right)
-        width, code = slot
-        bits = 8 * width
-        rows = [[_pack(x, code) for x in row] for row in left]
-        cols = [[_pack(y, code) for y in col] for col in columns]
+        bits = 8 * slot[0]
+        rows = [[_pack(x, slot) for x in row] for row in left]
+        cols = [[_pack(y, slot) for y in col] for col in columns]
         out = []
         for row in rows:
             out_row = []
             for col in cols:
                 total = sum(map(operator.mul, row, col))
-                n = -(-total.bit_length() // bits)
-                data = total.to_bytes(n * width, "little")
-                slots = data if code == "B" else struct.unpack(f"<{n}{code}", data)
-                out_row.append(_poly_trim([c % p for c in slots]))
+                out_row.append(_poly_trim(_read(total, -(-total.bit_length() // bits), slot, p)))
             out.append(out_row)
         return out
 
@@ -276,12 +278,9 @@ class PolynomialRing(EuclideanRing):
         longest_y = max(map(len, ys))
         p = self.p
         slot = _slot(p - 1 + (p - 1) ** 2 * min(len(f), longest_y))
-        if slot is None:
-            return super()._add_col(rows, i, j, f)
         xs = [row[i] for row in live]
         size = max(max(map(len, xs)), len(f) + longest_y - 1)
-        code = slot[1]
-        total = _pack_column(xs, size, code) + _pack(f, code) * _pack_column(ys, size, code)
+        total = _pack_column(xs, size, slot) + _pack(f, slot) * _pack_column(ys, size, slot)
         for row, x in zip(live, _unpack_column(total, len(live), size, slot, p)):
             row[i] = x
 
@@ -302,12 +301,9 @@ class PolynomialRing(EuclideanRing):
             return
         p = self.p
         slot = _slot(2 * (p - 1) ** 2 * min(longest, longest_t))
-        if slot is None:
-            return super()._col_block(rows, i, j, t)
         size = longest + longest_t - 1
-        code = slot[1]
-        x, y = _pack_column(xs, size, code), _pack_column(ys, size, code)
-        (t00, t01), (t10, t11) = [[_pack(e, code) for e in pair] for pair in t]
+        x, y = _pack_column(xs, size, slot), _pack_column(ys, size, slot)
+        (t00, t01), (t10, t11) = [[_pack(e, slot) for e in pair] for pair in t]
         count = len(live)
         new_i = _unpack_column(x * t00 + y * t10, count, size, slot, p)
         new_j = _unpack_column(x * t01 + y * t11, count, size, slot, p)
@@ -320,12 +316,11 @@ class PolynomialRing(EuclideanRing):
         # and m = L - len d + 1, each reversed dividend, zero-padded at the
         # bottom to length L, times the inverse of the reversed pivot modulo
         # x^m holds its quotient reversed in the first m slots of its block.
-        # The inverse is negated, so these are the shear factors, and the
-        # bytes read big-endian give each one in order.  A slot holds
-        # (p - 1)^2 min(L, m).  Shears: X, the target columns over the live
-        # rows (column r nonzero) packed target-major, plus F * Y, F each
-        # factor in its own block of live * size slots and Y column r, is
-        # every target column after its shear.  A slot holds
+        # The inverse is negated, so these are the shear factors.  A slot
+        # holds (p - 1)^2 min(L, m).  Shears: X, the target columns over the
+        # live rows (column r nonzero) packed target-major, plus F * Y, F
+        # each factor in its own block of live * size slots and Y column r,
+        # is every target column after its shear.  A slot holds
         # (p - 1) + (p - 1)^2 min(m, longest y), as in _add_col.
         row = rows[r]
         d = row[r]
@@ -339,30 +334,19 @@ class PolynomialRing(EuclideanRing):
         m = longest_x - len(d) + 1
         p = self.p
         slot = _slot((p - 1) ** 2 * min(longest_x, m))
-        shear_slot = _slot(p - 1 + (p - 1) ** 2 * min(m, longest_y))
-        if slot is None or shear_slot is None:
-            return super()._reduce_row(rows, r)
-        width, code = slot
         size = longest_x + m - 1
-        count = len(targets)
+        end = len(targets) * size
         dividends = [(0,) * (longest_x - len(row[c])) + row[c][::-1] for c in targets]
         inverse = self._neg(_series_inverse(d[::-1], m, p))
-        total = _pack_column(dividends, size, code) * _pack(inverse, code)
-        data = total.to_bytes(count * size * width, "big")
-        ends = range(count * size, 0, -size)
-        if code == "B":
-            data = data.translate(_mod_table(p))
-            factors = [tuple(data[end - m : end].rstrip(b"\0")) for end in ends]
-        else:
-            coeffs = struct.unpack(f">{count * size}{code}", data)
-            factors = [_poly_trim([c % p for c in coeffs[end - m : end]]) for end in ends]
+        coeffs = _read(_pack_column(dividends, size, slot) * _pack(inverse, slot), end, slot, p)
+        factors = [_poly_trim(coeffs[k : k + m][::-1]) for k in range(0, end, size)]
         xs = [tableau_row[c] for c in targets for tableau_row in live]
         size = max(max(map(len, xs)), m + longest_y - 1)
-        code = shear_slot[1]
-        total = _pack_column(xs, size, code) + _pack_column(
-            factors, len(live) * size, code
-        ) * _pack_column(ys, size, code)
-        new = _unpack_column(total, len(xs), size, shear_slot, p)
+        slot = _slot(p - 1 + (p - 1) ** 2 * min(m, longest_y))
+        total = _pack_column(xs, size, slot) + _pack_column(
+            factors, len(live) * size, slot
+        ) * _pack_column(ys, size, slot)
+        new = _unpack_column(total, len(xs), size, slot, p)
         for (c, tableau_row), x in zip(itertools.product(targets, live), new):
             tableau_row[c] = x
 
@@ -399,16 +383,13 @@ class PolynomialRing(EuclideanRing):
         v = next(e for e, c in enumerate(prev) if c)
         inverse = _series_inverse(prev[v:], m, p)
         slot = _slot((p - 1) ** 2 * terms * sum(inverse))
-        if slot is None:
-            return super()._bareiss_rows(rows, k, prev)
-        width, code = slot
         size = longest + m - 1
-        shift = 8 * width * v
-        pivot_n, inverse_n = _pack(pivot, code), _pack(inverse, code)
-        y = _pack_column(tail_k, size, code)
+        shift = 8 * slot[0] * v
+        pivot_n, inverse_n = _pack(pivot, slot), _pack(inverse, slot)
+        y = _pack_column(tail_k, size, slot)
         count = len(tail_k)
         for row, tail, lead in zip(below, tails, leads):
-            total = pivot_n * _pack_column(tail, size, code) + _pack(lead, code) * y
+            total = pivot_n * _pack_column(tail, size, slot) + _pack(lead, slot) * y
             quotients = _unpack_column((total >> shift) * inverse_n, count, size, slot, p)
             row[k + 1 :] = [_poly_trim(q[:m]) for q in quotients]
 

@@ -18,19 +18,18 @@ Finite rings answer through that structure as well: every carrier yields
 its payloads in canonical order (no sort), an ideal is the one
 generator _generator folds from its generators' gcds, y lies in xR when
 _divides(x, y) finds a quotient, the Jacobson radical is the set of
-nilpotents, and the determinant (Ring._det) is Bareiss elimination on Z
-and GF(p)[x], the base ring's determinant reduced mod m on a quotient,
-and a pair on a product.  One
+nilpotents, and the determinant (Ring._det) and the matrix product
+(Ring._matmul) are the carrier's own kernel on Z and GF(p)[x], the base
+ring's result reduced mod m on a quotient, and a pair on a product.  One
 Bareiss loop serves both domains; the update of the rows below a pivot
 (EuclideanRing._bareiss_rows) runs on native ints over Z and as one
-Kronecker-packed expression per row over GF(p)[x].  A matrix product
-(Ring._matmul) sums each dot product as native ints on Z and GF(p)[x]; the
-finite carriers take the schoolbook loop.  The reducer's column shears
-(Ring._add_col, Ring._col_block) run entry by entry on native ints over Z,
-whole columns at a time over GF(p)[x], and through _add and _mul on the
-finite carriers, in place.  Its size reduction of a row
-(EuclideanRing._reduce_row) divides and shears entry by entry over Z and
-takes the whole row in two packed products over GF(p)[x].
+Kronecker-packed expression per row over GF(p)[x].  A matrix product sums
+each dot product as native ints on Z and as Kronecker-packed entries on
+GF(p)[x].  The reducer runs only on Z and GF(p)[x]: its column shears
+(EuclideanRing._add_col, _col_block) run entry by entry on native ints
+over Z and whole columns at a time over GF(p)[x], in place.  Its size
+reduction of a row (EuclideanRing._reduce_row) divides and shears entry by
+entry over Z and takes the whole row in two packed products over GF(p)[x].
 
 Element literals are read and written one at a time by _parse and _format,
 and a matrix row at a time by _parse_row and _format_row.  The row codecs
@@ -276,45 +275,13 @@ class Ring(ABC):
     def _sub(self, x: Any, y: Any) -> Any:
         return self._add(x, self._neg(y))
 
+    @abstractmethod
     def _matmul(self, left: list[list], right: list[list]) -> list[list]:
         """The payload grid left * right, left m x k and right k x n.
 
         A grid without rows carries no width, so for k = 0 this returns m
-        empty rows, not m x n zeros.  This default is the schoolbook loop.
+        empty rows, not m x n zeros.
         """
-        add, mul, zero = self._add, self._mul, self._zero()
-        columns = list(zip(*right))
-        out = []
-        for row in left:
-            out_row = []
-            for col in columns:
-                acc = zero
-                for x, y in zip(row, col):
-                    acc = add(acc, mul(x, y))
-                out_row.append(acc)
-            out.append(out_row)
-        return out
-
-    def _add_col(self, rows: list[list], i: int, j: int, f: Any) -> None:
-        """Column i of the payload rows += f * column j, in place.
-
-        This default is the per-entry loop, which skips zero entries of
-        column j.
-        """
-        zero = self._zero()
-        for row in rows:
-            v = row[j]
-            if v != zero:
-                row[i] = self._add(row[i], self._mul(f, v))
-
-    def _col_block(self, rows: list[list], i: int, j: int, t) -> None:
-        """Columns i, j of the payload rows become the old pair times the
-        2 x 2 payload block t, in place.  This default is the per-entry loop."""
-        (t00, t01), (t10, t11) = t
-        for row in rows:
-            x, y = row[i], row[j]
-            row[i] = self._add(self._mul(x, t00), self._mul(y, t10))
-            row[j] = self._add(self._mul(x, t01), self._mul(y, t11))
 
     @abstractmethod
     def _det(self, grid: list[list]) -> Any:
@@ -534,6 +501,15 @@ class EuclideanRing(Ring):
             g = self._ext_gcd(g, x)[0]
         return self._is_unit(g)
 
+    @abstractmethod
+    def _add_col(self, rows: list[list], i: int, j: int, f: Any) -> None:
+        """Column i of the payload rows += f * column j, in place."""
+
+    @abstractmethod
+    def _col_block(self, rows: list[list], i: int, j: int, t) -> None:
+        """Columns i, j of the payload rows become the old pair times the
+        2 x 2 payload block t, in place."""
+
     def _reduce_row(self, rows: list[list], r: int) -> None:
         """Size-reduce row r of the payload rows in place: every column c < r
         -= (rows[r][c] div rows[r][r]) * column r, the pivot rows[r][r]
@@ -574,18 +550,11 @@ class EuclideanRing(Ring):
             prev = a[k][k]
         return self._mul(sign, a[n - 1][n - 1]) if n else one
 
+    @abstractmethod
     def _bareiss_rows(self, rows: list[list], k: int, prev: Any) -> None:
         """One Bareiss step, in place: entry j > k of each row i > k becomes
         (pivot * rows[i][j] - rows[i][k] * rows[k][j]) / prev, with pivot
-        rows[k][k] nonzero.  The division is exact (Sylvester's identity).
-        This default is the per-entry loop."""
-        sub, mul, divides = self._sub, self._mul, self._divides
-        row_k = rows[k]
-        pivot = row_k[k]
-        for row_i in rows[k + 1 :]:
-            lead = row_i[k]
-            for j in range(k + 1, len(row_k)):
-                row_i[j] = divides(prev, sub(mul(pivot, row_i[j]), mul(lead, row_k[j])))
+        rows[k][k] nonzero.  The division is exact (Sylvester's identity)."""
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +609,6 @@ class IntegerRing(EuclideanRing):
         columns = list(zip(*right))
         return [[sum(map(operator.mul, row, col)) for col in columns] for row in left]
 
-    # Ring's per-entry loops on native ints, without the _add/_mul dispatch
     def _add_col(self, rows, i, j, f):
         for row in rows:
             v = row[j]
@@ -961,8 +929,12 @@ class EuclideanQuotientRing(Ring):
         # the least coset representatives are the payloads mod gcd(x, m)
         return self.base._quotient(self.base._ext_gcd(x, self.modulus)[0])
 
+    # reduction mod m is a ring map, so it commutes with the matrix product
+    # and the determinant
+    def _matmul(self, left, right):
+        return [list(map(self._reduce, row)) for row in self.base._matmul(left, right)]
+
     def _det(self, grid):
-        # reduction mod m is a ring map, so it commutes with the determinant
         return self._reduce(self.base._det(grid))
 
 
@@ -1003,6 +975,11 @@ class IntegerModRing(EuclideanQuotientRing):
 # ---------------------------------------------------------------------------
 # Products
 # ---------------------------------------------------------------------------
+
+
+def _component(grid: list[list], c: int) -> list[list]:
+    """The grid of component c of a product ring's payload grid."""
+    return [[x[c] for x in row] for row in grid]
 
 
 @value_class
@@ -1113,11 +1090,14 @@ class ProductRing(Ring):
             return super()._quotient(x)
         return ProductRing(self.left._quotient(x[0]), self.right._quotient(x[1]))
 
+    # the product and the determinant of pairs are pairs of the components'
+    def _matmul(self, left, right):
+        lefts = self.left._matmul(_component(left, 0), _component(right, 0))
+        rights = self.right._matmul(_component(left, 1), _component(right, 1))
+        return [list(zip(a, b)) for a, b in zip(lefts, rights)]
+
     def _det(self, grid):
-        return (
-            self.left._det([[x[0] for x in row] for row in grid]),
-            self.right._det([[x[1] for x in row] for row in grid]),
-        )
+        return (self.left._det(_component(grid, 0)), self.right._det(_component(grid, 1)))
 
     def _enumerate_payloads(self):
         # left-major, as the canonical order compares the left component

@@ -2,13 +2,13 @@
 
 Deliberately shares no matrix algebra with the producer: the product and
 the determinants come from the ring's own kernels, which the reducer never
-calls.  Ring._matmul sums native ints on Z, dot products of Kronecker-packed
-entries on GF(p)[x], and runs the schoolbook loop elsewhere.  Ring._det is
-fraction-free Bareiss elimination on the integral domains Z and GF(p)[x]
-(each row update one native-int comprehension on Z and one Kronecker-packed
-expression with a power-series division on GF(p)[x]), the base ring's
-determinant reduced mod m on Z/n and GF(p)[x]/(f), and the pair of
-component determinants on products.  Both are polynomial in the matrix
+calls.  Ring._matmul sums native ints on Z and dot products of
+Kronecker-packed entries on GF(p)[x].  Ring._det is fraction-free Bareiss
+elimination on the integral domains Z and GF(p)[x] (each row update one
+native-int comprehension on Z and one Kronecker-packed expression with a
+power-series division on GF(p)[x]).  On Z/n and GF(p)[x]/(f) both are the
+base ring's result reduced mod m, and on products the pair of the
+components' results.  Both are polynomial in the matrix
 size and exact over their rings.  The normalization clause asks
 Ring._is_normalized, which the producer does not call either.
 """

@@ -3,8 +3,9 @@
 These deliberately re-derive results with different algorithms than the
 package under test: determinantal divisors and determinants from raw minor
 expansion and from Berkowitz's division-free algorithm, polynomial
-arithmetic and matrix products from schoolbook loops, Hermite completions
-from brute force over invertible 2x2 matrices, units, quotients, ideals,
+arithmetic, matrix products and the ring kernels (_matmul, _add_col,
+_col_block, _bareiss_rows) from per-entry loops, Hermite completions from
+brute force over invertible 2x2 matrices, units, quotients, ideals,
 Jacobson radicals and gcd certificates of finite rings from exhaustive
 search, primality from trial division.
 """
@@ -263,6 +264,49 @@ def matmul(left, right, add, mul, zero):
     return out
 
 
+# -- per-entry ring kernels ------------------------------------------------------
+#
+# Each takes the ring first, so it can stand in for the kernel method of the
+# same name; every step goes through the ring's _add, _sub, _mul and
+# _divides.
+
+
+def loop_matmul(ring, left, right):
+    """The payload grid left * right by the schoolbook loop."""
+    return matmul(left, right, ring._add, ring._mul, ring._zero())
+
+
+def loop_add_col(ring, rows, i, j, f):
+    """Column i of the payload rows += f * column j, skipping zero entries of
+    column j."""
+    zero = ring._zero()
+    for row in rows:
+        v = row[j]
+        if v != zero:
+            row[i] = ring._add(row[i], ring._mul(f, v))
+
+
+def loop_col_block(ring, rows, i, j, t):
+    """Columns i, j of the payload rows become the old pair times t."""
+    (t00, t01), (t10, t11) = t
+    for row in rows:
+        x, y = row[i], row[j]
+        row[i] = ring._add(ring._mul(x, t00), ring._mul(y, t10))
+        row[j] = ring._add(ring._mul(x, t01), ring._mul(y, t11))
+
+
+def loop_bareiss_rows(ring, rows, k, prev):
+    """One Bareiss step: entry j > k of each row i > k becomes
+    (pivot * rows[i][j] - rows[i][k] * rows[k][j]) / prev."""
+    row_k = rows[k]
+    pivot = row_k[k]
+    for row_i in rows[k + 1 :]:
+        lead = row_i[k]
+        for j in range(k + 1, len(row_k)):
+            numerator = ring._sub(ring._mul(pivot, row_i[j]), ring._mul(lead, row_k[j]))
+            row_i[j] = ring._divides(prev, numerator)
+
+
 # -- finite rings answered by exhaustive search --------------------------------
 
 
@@ -275,6 +319,8 @@ class ExhaustiveRing(Ring):
 
     def _enumerate_payloads(self):
         return sorted(self._all_payloads(), key=self._sort_key)
+
+    _matmul = loop_matmul
 
     def _det(self, grid):
         return berkowitz_determinant(self, grid)

@@ -35,7 +35,7 @@ from edrkit import (
 )
 from edrkit.finite_lab import CHECKERS
 from edrkit.polynomials import _slot
-from edrkit.rings import Ring, _format_int, _parse_int, is_prime
+from edrkit.rings import _format_int, _parse_int, is_prime
 
 from oracles import (
     CosetQuotientRing,
@@ -44,6 +44,9 @@ from oracles import (
     brute_divides,
     brute_unit_set,
     definition_jacobson_radical,
+    loop_add_col,
+    loop_col_block,
+    loop_matmul,
     matmul,
     p_add,
     p_divmod,
@@ -352,11 +355,10 @@ def test_poly_mul_matches_schoolbook_oracle():
         assert (g.element(f) * g.element(h)).payload == p_mul(f, h, 5)
 
 
-# From length 6 on, products over small primes are packed into 1-, 2-, 4-
-# or 8-byte slots, each holding (p - 1)^2 times the shorter length; from
-# 2^31 - 1 up to the largest prime is_prime decides,
-# 3317044064679887385961813, a slot would be wider and the schoolbook loop
-# runs, as it does below length 6.
+# From length 6 on, products are packed into slots each holding (p - 1)^2
+# times the shorter length: 1, 2, 4 or 8 bytes over small primes, and 16 or
+# 32 bytes from 2^31 - 1 up to the largest prime is_prime decides,
+# 3317044064679887385961813.  Below length 6 the schoolbook loop runs.
 KERNEL_PRIMES = (2, 3, 5, 7, 251, 257, 65537, 2**31 - 1, 2**61 - 1, 3317044064679887385961813)
 
 
@@ -400,15 +402,20 @@ def test_poly_kernels_match_schoolbook_oracles(case):
 
 
 # Matrix products: Z sums natively; GF(p)[x] packs whole dot products into
-# 1-, 2-, 4- or 8-byte slots, or, past 8 bytes (p = 2^31 - 1 beyond a few
-# terms, 2^61 - 1 always), takes the schoolbook loop the finite carriers use.
-MATMUL_PRIMES = (2, 5, 251, 65537, 2**31 - 1, 2**61 - 1)
+# slots as wide as they need (p = 2^31 - 1 beyond a few terms and the larger
+# primes always need more than 8 bytes); a quotient reduces its base ring's
+# product and a product pairs its components' products.
+MATMUL_PRIMES = (2, 5, 251, 65537, 2**31 - 1, 2**61 - 1, 3317044064679887385961813)
 Z12 = IntegerModRing(12)
 MATMUL_RINGS = (
     Z,
     *map(PolynomialRing, MATMUL_PRIMES),
     Z12,
+    PolynomialQuotientRing(5, (2, 0, 1)),
     ProductRing(IntegerModRing(4), PolynomialQuotientRing(3, (1, 0, 1))),
+    ProductRing(
+        IntegerModRing(6), ProductRing(PolynomialQuotientRing(3, (1, 0, 1)), IntegerModRing(4))
+    ),
     CosetQuotientRing(Z12, Z12.element(4)),
 )
 
@@ -419,7 +426,7 @@ def _matmul_oracle(ring, left, right):
     if isinstance(ring, PolynomialRing):
         p = ring.p
         return matmul(left, right, lambda f, g: p_add(f, g, p), lambda f, g: p_mul(f, g, p), ())
-    return matmul(left, right, ring._add, ring._mul, ring._zero())
+    return loop_matmul(ring, left, right)
 
 
 @st.composite
@@ -460,7 +467,7 @@ def test_matmul_matches_schoolbook_oracle(case):
 # Every coefficient is p - 1, so one slot of a 1 x k by k x 1 product of
 # entries of one length reaches k * (p - 1)^2 * length, the bound the slot
 # must hold; each pair of rows is the largest case at one width and the
-# least at the next (None: the schoolbook loop).
+# least at the next.  Past 8 bytes the slots are read with int.from_bytes.
 @pytest.mark.parametrize(
     "p, k, length, width",
     [
@@ -476,30 +483,39 @@ def test_matmul_matches_schoolbook_oracle(case):
         (251, 68720, 1, 8),
         (65537, 1, 1, 8),
         (2**31 - 1, 4, 1, 8),
-        (2**31 - 1, 5, 1, None),
+        (2**31 - 1, 5, 1, 16),
+        (2**61 - 1, 64, 1, 16),
+        (2**61 - 1, 65, 1, 32),
     ],
 )
 def test_matmul_fills_slots_to_their_bound(p, k, length, width, monkeypatch):
+    import edrkit.polynomials as polynomials
+
     ring = PolynomialRing(p)
     entry = (p - 1,) * length
     left, right = [[entry] * k], [[entry] for _ in range(k)]
-    slot = _slot(k * (p - 1) ** 2 * length)
-    assert (slot and slot[0]) == width
-    generic, fallbacks = Ring._matmul, []
+    assert _slot(k * (p - 1) ** 2 * length)[0] == width
+    expected = _matmul_oracle(ring, left, right)
+    widths, read = [], polynomials._read
 
-    def counted(self, left, right):
-        fallbacks.append(self)
-        return generic(self, left, right)
+    def spied(total, n, slot, p):
+        widths.append(slot[0])
+        return read(total, n, slot, p)
 
-    monkeypatch.setattr(Ring, "_matmul", counted)
-    assert ring._matmul(left, right) == _matmul_oracle(ring, left, right)
-    assert bool(fallbacks) == (width is None)
+    monkeypatch.setattr(polynomials, "_read", spied)
+    # the packed product reads every entry through the codec and never
+    # multiplies entry by entry
+    monkeypatch.setattr(PolynomialRing, "_mul", None)
+    monkeypatch.setattr(PolynomialRing, "_add", None)
+    assert ring._matmul(left, right) == expected
+    assert widths == [width]
 
 
 # Column shears: GF(p)[x] packs whole columns of the reducer's tableau into
-# 1-, 2-, 4- or 8-byte slots and must agree with Ring's per-entry loops; a
-# prime above 2^32 needs wider slots and takes those loops.
-SHEAR_PRIMES = (2, 3, 5, 7, 31, 251, 65537, 4294967311)
+# slots as wide as they need (a prime above 2^32 needs more than 8 bytes)
+# and must agree with the per-entry loops.
+SHEAR_PRIMES = (2, 3, 5, 7, 31, 251, 65537, 4294967311, 2**61 - 1, 3317044064679887385961813)
+LOOP_SHEARS = {"_add_col": loop_add_col, "_col_block": loop_col_block}
 
 
 @st.composite
@@ -528,7 +544,7 @@ def test_polynomial_shear_kernels_match_the_ring_defaults(case):
     for name, arg in (("_add_col", f), ("_col_block", t)):
         packed, looped = [list(row) for row in rows], [list(row) for row in rows]
         getattr(ring, name)(packed, i, j, arg)
-        getattr(Ring, name)(ring, looped, i, j, arg)
+        LOOP_SHEARS[name](ring, looped, i, j, arg)
         assert packed == looped, name
 
 
@@ -547,15 +563,15 @@ def test_integer_shear_kernels_match_the_ring_defaults(rows, order, values):
     for name, arg in (("_add_col", f), ("_col_block", t)):
         native, looped = [list(row) for row in rows], [list(row) for row in rows]
         getattr(ring, name)(native, i, j, arg)
-        getattr(Ring, name)(ring, looped, i, j, arg)
+        LOOP_SHEARS[name](ring, looped, i, j, arg)
         assert native == looped, name
 
 
 # Size reduction of a tableau row: GF(p)[x] finds every quotient of the row
 # in one packed product and applies every shear in another, and must agree
-# with EuclideanRing's per-entry loop; a prime above 2^32 needs wider slots
-# and takes that loop.
-REDUCE_ROW_PRIMES = (2, 5, 251, 65537, 4294967311)
+# with EuclideanRing's per-entry loop, Z's kernel; a prime above 2^32 needs
+# slots wider than 8 bytes.
+REDUCE_ROW_PRIMES = (2, 5, 251, 65537, 4294967311, 2**61 - 1, 3317044064679887385961813)
 
 
 @st.composite
@@ -603,10 +619,14 @@ def test_polynomial_row_reduction_matches_the_per_entry_loop(case):
     assert all(len(x) < len(pivot) for x in packed[r][:r])
 
 
-@pytest.mark.parametrize("p, packed", [(5, True), (65537, True), (4294967311, False)])
-def test_row_reduction_divides_in_one_product_below_the_slot_limit(p, packed, monkeypatch):
-    # the packed kernel never divides entry by entry; past 8-byte slots the
-    # per-entry loop does
+@pytest.mark.parametrize(
+    "p, struct_slots", [(5, True), (65537, True), (4294967311, False), (2**61 - 1, False)]
+)
+def test_row_reduction_divides_in_one_product_below_the_slot_limit(p, struct_slots, monkeypatch):
+    # the packed kernel never divides entry by entry, with slots struct packs
+    # (up to 8 bytes) and with wider ones
+    import edrkit.polynomials as polynomials
+
     ring = PolynomialRing(p)
     rows = [[(1,), (), ()], [(3, 1, 2), (2, 0, 1), ()], [(4, 4, 4, 1), (0, 1, 1), (2, 1)]]
     divisions = []
@@ -616,9 +636,18 @@ def test_row_reduction_divides_in_one_product_below_the_slot_limit(p, packed, mo
     looped = [list(row) for row in rows]
     EuclideanRing._reduce_row(ring, looped, 2)
     expected, divisions[:] = len(divisions), []
+    codes, read = [], polynomials._read
+
+    def spied(total, n, slot, p):
+        codes.append(slot[1])
+        return read(total, n, slot, p)
+
+    monkeypatch.setattr(polynomials, "_read", spied)
     ring._reduce_row(rows, 2)
     assert rows == looped and expected == 2
-    assert len(divisions) == (0 if packed else expected)
+    # two products: the quotients, then the shears
+    assert divisions == [] and len(codes) == 2
+    assert {code is not None for code in codes} == {struct_slots}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -634,7 +663,7 @@ def test_division_by_a_unit_matches_the_schoolbook_loop(p, data):
 # Every coefficient is p - 1, so the slots reach the kernels' bounds: x + f*y
 # reaches (p - 1) + (p - 1)^2 * length and x*t00 + y*t10 reaches
 # 2 (p - 1)^2 * length.  Each pair of rows is the largest case at one width
-# and the least at the next (None: Ring's per-entry loop).
+# and the least at the next.
 @pytest.mark.parametrize(
     "name, p, length, width",
     [
@@ -646,7 +675,7 @@ def test_division_by_a_unit_matches_the_schoolbook_loop(p, data):
         ("_add_col", 31, 73, 4),
         ("_add_col", 65537, 1, 8),
         ("_add_col", 2**31 - 1, 4, 8),
-        ("_add_col", 2**31 - 1, 5, None),
+        ("_add_col", 2**31 - 1, 5, 16),
         ("_col_block", 2, 127, 1),
         ("_col_block", 2, 128, 2),
         ("_col_block", 5, 7, 1),
@@ -654,7 +683,7 @@ def test_division_by_a_unit_matches_the_schoolbook_loop(p, data):
         ("_col_block", 46337, 1, 4),
         ("_col_block", 46337, 2, 8),
         ("_col_block", 2**31 - 1, 2, 8),
-        ("_col_block", 2**31 - 1, 3, None),
+        ("_col_block", 2**31 - 1, 3, 16),
     ],
 )
 def test_shear_kernels_fill_slots_to_their_bound(name, p, length, width, monkeypatch):
@@ -666,8 +695,7 @@ def test_shear_kernels_fill_slots_to_their_bound(name, p, length, width, monkeyp
         bound, arg = (p - 1) + (p - 1) ** 2 * length, entry
     else:
         bound, arg = 2 * (p - 1) ** 2 * length, ((entry, entry), (entry, entry))
-    slot = _slot(bound)
-    assert (slot and slot[0]) == width
+    assert _slot(bound)[0] == width
     widths, unpack = [], polynomials._unpack_column
 
     def spied(total, count, size, slot, p):
@@ -677,10 +705,13 @@ def test_shear_kernels_fill_slots_to_their_bound(name, p, length, width, monkeyp
     monkeypatch.setattr(polynomials, "_unpack_column", spied)
     rows = [[entry, entry, ()], [(), entry, entry], [entry, (), entry]]
     packed, looped = [list(row) for row in rows], [list(row) for row in rows]
+    LOOP_SHEARS[name](ring, looped, 0, 1, arg)
+    # the packed shear never adds or multiplies entry by entry
+    monkeypatch.setattr(PolynomialRing, "_mul", None)
+    monkeypatch.setattr(PolynomialRing, "_add", None)
     getattr(ring, name)(packed, 0, 1, arg)
-    getattr(Ring, name)(ring, looped, 0, 1, arg)
     assert packed == looped
-    assert set(widths) == ({width} if width else set())
+    assert set(widths) == {width}
 
 
 @pytest.mark.parametrize("m, k, n", [(0, 0, 0), (2, 0, 3), (0, 2, 3), (2, 3, 0), (2, 3, 4)])
@@ -688,7 +719,7 @@ def test_matrix_product_keeps_its_shape(m, k, n):
     # an m x 0 by 0 x n product is the m x n zero matrix, though the right
     # factor's empty grid cannot say how wide it is
     rng = random.Random(f"matrix-product/{m}/{k}/{n}")
-    for ring in (Z, PolynomialRing(5), Z12):
+    for ring in (Z, PolynomialRing(5), Z12, ring_parse("Z/4 x Z/9")):
         elems = sorted(ring._payloads, key=ring._sort_key) if ring.finite else None
 
         def entry():

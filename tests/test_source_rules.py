@@ -119,3 +119,35 @@ def test_producer_and_verifier_stay_on_the_payload_grid():
         ):
             found.append(f"reduction.py:{node.lineno} Matrix.{func.attr}(...)")
     assert found == []
+
+
+def test_ring_kernels_have_one_path_per_carrier():
+    # GF(p)[x]'s packed kernels take slots of any width, so none falls back
+    # to an inherited per-entry loop, and Ring and EuclideanRing hold no such
+    # loop to fall back to: the loops are test oracles (tests/oracles.py)
+    kernels = {"_matmul", "_add_col", "_col_block", "_reduce_row", "_bareiss_rows"}
+
+    def tree(name):
+        path = SRC / name
+        return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+    found = [
+        f"polynomials.py:{node.lineno} super().{node.attr}"
+        for node in ast.walk(tree("polynomials.py"))
+        if isinstance(node, ast.Attribute)
+        and node.attr in kernels
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Name)
+        and node.value.func.id == "super"
+    ]
+    classes = {node.name: node for node in tree("rings.py").body if isinstance(node, ast.ClassDef)}
+    for cls in ("Ring", "EuclideanRing"):
+        for node in classes[cls].body:
+            if not isinstance(node, ast.FunctionDef) or node.name not in kernels - {"_reduce_row"}:
+                continue
+            abstract = any(isinstance(d, ast.Name) and d.id == "abstractmethod" for d in node.decorator_list)
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            empty = all(isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant) for s in body)
+            if not (abstract and empty):
+                found.append(f"rings.py:{node.lineno} {cls}.{node.name}")
+    assert found == []

@@ -20,9 +20,16 @@ from edrkit import (
     verify_certificate,
 )
 from edrkit.matrices import from_payload_grid
-from edrkit.rings import Ring
+from edrkit.rings import EuclideanQuotientRing, ProductRing, Ring
 
-from oracles import berkowitz_determinant, laplace_determinant
+from oracles import (
+    berkowitz_determinant,
+    laplace_determinant,
+    loop_add_col,
+    loop_bareiss_rows,
+    loop_col_block,
+    loop_matmul,
+)
 
 Z = IntegerRing()
 G5 = PolynomialRing(5)
@@ -77,7 +84,7 @@ def test_determinant_matches_laplace(name, sparse):
     check()
 
 
-DET_PRIMES = (2, 3, 5, 7, 31, 251, 65537, 4294967311)
+DET_PRIMES = (2, 3, 5, 7, 31, 251, 65537, 4294967311, 2**61 - 1, 3317044064679887385961813)
 
 
 @st.composite
@@ -118,8 +125,8 @@ def _bareiss_cases(draw):
 def test_bareiss_row_kernels_match_the_generic_update(case):
     ring, grid = case
     assert ring._det(grid) == berkowitz_determinant(ring, grid)
-    # each step of the carrier's kernel against the per-entry default, on
-    # the same elimination state
+    # each step of the carrier's kernel against the per-entry loop, on the
+    # same elimination state
     a, prev, zero = [list(row) for row in grid], ring._one(), ring._zero()
     for k in range(len(a) - 1):
         swap = next((i for i in range(k, len(a)) if a[i][k] != zero), None)
@@ -128,7 +135,7 @@ def test_bareiss_row_kernels_match_the_generic_update(case):
         a[k], a[swap] = a[swap], a[k]
         fast = [list(row) for row in a]
         ring._bareiss_rows(fast, k, prev)
-        EuclideanRing._bareiss_rows(ring, a, k, prev)
+        loop_bareiss_rows(ring, a, k, prev)
         assert fast == a
         prev = a[k][k]
 
@@ -207,11 +214,77 @@ def test_verdicts_are_identical_under_generic_kernels(ring, monkeypatch):
     fast = outcomes()
     assert [verdict for _, _, verdict in fast] == [clause for _, clause, _ in fast]
     for carrier in (IntegerRing, PolynomialRing):
-        monkeypatch.setattr(carrier, "_matmul", Ring._matmul)
-        monkeypatch.setattr(carrier, "_add_col", Ring._add_col)
-        monkeypatch.setattr(carrier, "_col_block", Ring._col_block)
-        monkeypatch.setattr(carrier, "_bareiss_rows", EuclideanRing._bareiss_rows)
+        monkeypatch.setattr(carrier, "_matmul", loop_matmul)
+        monkeypatch.setattr(carrier, "_add_col", loop_add_col)
+        monkeypatch.setattr(carrier, "_col_block", loop_col_block)
+        monkeypatch.setattr(carrier, "_bareiss_rows", loop_bareiss_rows)
         monkeypatch.setattr(carrier, "_sub", Ring._sub)
         monkeypatch.setattr(carrier, "_divides", EuclideanRing._divides)
     assert outcomes() == fast
     assert {verdict for _, _, verdict in fast} == {None, "product", "unit-determinant", "chain"}
+
+
+def _unimodular_pair(ring, rng, n, elems, units):
+    """(U, U^-1), n x n: U is the identity after seeded row additions and
+    unit scalings, and U^-1 takes each inverse as a column operation."""
+    one = ring._one()
+    u = [[one if i == j else ring._zero() for j in range(n)] for i in range(n)]
+    u_inv = [list(row) for row in u]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c, s = rng.choice(elems), rng.choice(units)
+        # row i += c * row j, then row i *= s
+        u[i] = [ring._mul(s, ring._add(x, ring._mul(c, y))) for x, y in zip(u[i], u[j])]
+        loop_add_col(ring, u_inv, j, i, ring._neg(c))
+        s_inv = next(v for v in units if ring._mul(s, v) == one)
+        for row in u_inv:
+            row[i] = ring._mul(row[i], s_inv)
+    return u, u_inv
+
+
+@pytest.mark.parametrize("name", ["Z/12", "GF(3)[x]/(x^2+1)", "Z/4 x GF(3)[x]/(x^2+1)"])
+def test_finite_verdicts_are_identical_under_the_loop_matmul(name, monkeypatch):
+    # a quotient reduces its base ring's product and a product pairs its
+    # components' products; on valid certificates (P, D, Q) built with
+    # A = P^-1 D Q^-1, and on copies with a flipped P entry or a row of P and
+    # D scaled by a non-unit, the verdicts must be the schoolbook loop's
+    ring = RINGS[name]
+    rng = random.Random(f"finite-verdicts/{name}")
+    elems = sorted(ring._payloads, key=ring._sort_key)
+    units = [x for x in elems if ring._is_unit(x)]
+    non_unit, zero = [x for x in elems if x not in units][-1], ring._zero()
+    cases = []
+    for _ in range(12):
+        m, n = rng.randint(2, 5), rng.randint(2, 5)
+        d = [[zero] * n for _ in range(m)]
+        entry = rng.choice(elems)
+        for i in range(min(m, n)):
+            d[i][i], entry = entry, ring._mul(entry, rng.choice(elems))
+        (p, p_inv), (q, q_inv) = (_unimodular_pair(ring, rng, k, elems, units) for k in (m, n))
+        a = loop_matmul(ring, loop_matmul(ring, p_inv, d), q_inv)
+        cases.append((a, p, d, q, None))
+        j = next((j for j, row in enumerate(a) if any(x != zero for x in row)), None)
+        if j is not None:
+            flipped = [list(row) for row in p]
+            flipped[0][j] = ring._add(flipped[0][j], ring._one())
+            cases.append((a, flipped, d, q, "product"))
+        scaled_p, scaled_d = [list(row) for row in p], [list(row) for row in d]
+        scaled_p[0] = [ring._mul(non_unit, x) for x in p[0]]
+        scaled_d[0] = [ring._mul(non_unit, x) for x in d[0]]
+        cases.append((a, scaled_p, scaled_d, q, "unit-determinant"))
+
+    def verdicts():
+        return [
+            check_certificate(
+                ring,
+                from_payload_grid(ring, a),
+                ReductionCertificate(*(from_payload_grid(ring, g) for g in (p, d, q))),
+            )
+            for a, p, d, q, _ in cases
+        ]
+
+    kernel = verdicts()
+    assert kernel == [clause for *_, clause in cases]
+    monkeypatch.setattr(EuclideanQuotientRing, "_matmul", loop_matmul)
+    monkeypatch.setattr(ProductRing, "_matmul", loop_matmul)
+    assert verdicts() == kernel
