@@ -5,22 +5,23 @@ This carrier lives apart from edrkit.rings so that a process working over
 Z or Z/n never loads its kernels: ring_parse imports this module when it
 reads a GF( literal.
 
-GF(p)[x] multiplies by Kronecker substitution once the shorter operand has
-_KRONECKER_MIN_LEN coefficients: the coefficients are packed into slots of
-one integer per operand, and one integer product is unpacked and reduced
-modulo p.  Shorter operands take the schoolbook loop.  A slot is as wide as
-its bound needs, for any p, so every kernel below has one path.  A matrix
-product (_matmul) sums each dot product over entries packed once into such
-slots.  The reducer's column shears (_add_col, _col_block) work the same
-way: each column of the tableau is packed into one integer, so a shear is
-one bignum expression per column.  The size-reduction row kernel
-(_reduce_row) takes a whole row of the tableau modulo its pivot in two
-products: one of the reversed dividends with the power-series inverse of
-the reversed pivot gives every quotient, and one 2-D packing of the
-target columns against the pivot's column applies every shear.  The
-Bareiss row kernel (_bareiss_rows) packs each row's numerator likewise and
-does the exact division by the previous pivot as a product with its
-power-series inverse.  Division by a unit is one scaling pass.
+GF(p)[x] multiplies by Kronecker substitution once the shorter operand is
+long enough (_packs: 6 coefficients at slots of up to 8 bytes, more past
+them): the coefficients are packed into slots of one integer per operand,
+and one integer product is unpacked and reduced modulo p.  Shorter operands
+take the schoolbook loop.  A slot is as wide as its bound needs, for any p,
+so every kernel below has one path.  A matrix product (_matmul) sums each
+dot product over entries packed once into such slots.  The reducer's
+tableau (_PackedTableau) keeps every column as one packed byte string for
+a whole Hermite pass, each coefficient reduced mod p: a column shear is one
+bignum expression on the column, reduced mod p once, and an entry is
+decoded only when the reducer reads it.  Its size reduction of a row finds
+every quotient of the row in one product, of the reversed dividends, cut
+from the row's blocks, with the power-series inverse of the reversed
+pivot, then shears each column once.  The Bareiss row kernel
+(_bareiss_rows) packs each row's numerator likewise and does the exact
+division by the previous pivot as a product with its power-series
+inverse.  Division by a unit is one scaling pass.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .rings import (
     EuclideanRing,
     RingElement,
     RingParseError,
+    Tableau,
     _excerpt,
     _parse_int,
     is_prime,
@@ -66,12 +68,22 @@ def _poly_trim(coeffs) -> tuple:
 _SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 # Shorter operands take the schoolbook loop: 6 is the least length at which
-# packing won at every slot width.  Packed over schoolbook time per call
+# packing won at every slot width up to 8 bytes.  Packed over schoolbook time per call
 # (Python 3.11, 2-vCPU x86 VM, min of 11 interleaved runs of 3000 calls, two
 # runs, equal lengths, p = 5, 31, 251, 65537 for slots of 1, 2, 4, 8 bytes):
 # length 2 x1.48-2.61, 3 x1.15-2.20, 4 x0.82-1.70, 5 x0.68-1.22,
-# 6 x0.70-0.94, 8 x0.41-0.63.
+# 6 x0.70-0.94, 8 x0.41-0.63.  Wider slots cost more per coefficient, so
+# past 8 bytes the least winning length grows with the width (_packs):
+# packed over schoolbook time, equal lengths (min of 7 x 1000 calls, median
+# of 3 operand pairs) at 16-byte slots (p of 33 and 61 bits) length 6
+# x1.04/x0.90, 7 x0.90/x0.83; at 32 bytes (82 bits) 8 x1.02, 9 x0.87.
 _KRONECKER_MIN_LEN = 6
+
+
+def _packs(length: int, width: int) -> bool:
+    """Whether a product whose shorter operand has length coefficients
+    packs into slots of width bytes rather than taking the schoolbook loop."""
+    return length >= max(_KRONECKER_MIN_LEN, 2 * width.bit_length() - 3)
 
 
 def _slot(bound: int) -> tuple[int, str | None]:
@@ -82,24 +94,89 @@ def _slot(bound: int) -> tuple[int, str | None]:
     return width, _SLOT_CODES.get(width)
 
 
-def _pack(coeffs: tuple, slot: tuple[int, str | None]) -> int:
-    """The integer whose little-endian slots hold coeffs."""
+def _encode(coeffs, slot: tuple[int, str | None]) -> bytes:
+    """coeffs, each below 256^width, in little-endian slots."""
     width, code = slot
     if width == 1:
-        data = bytes(coeffs)
-    elif code:
-        data = struct.pack(f"<{len(coeffs)}{code}", *coeffs)
-    else:
-        data = b"".join([c.to_bytes(width, "little") for c in coeffs])
-    return int.from_bytes(data, "little")
+        return bytes(coeffs)
+    if code:
+        return struct.pack(f"<{len(coeffs)}{code}", *coeffs)
+    return b"".join([c.to_bytes(width, "little") for c in coeffs])
+
+
+def _pack(coeffs: tuple, slot: tuple[int, str | None]) -> int:
+    """The integer whose little-endian slots hold coeffs."""
+    return int.from_bytes(_encode(coeffs, slot), "little")
+
+
+def _encode_column(entries: list, size: int, slot: tuple[int, str | None]) -> bytes:
+    """Each entry in its own block of size slots, the first entry lowest."""
+    span = size * slot[0]
+    zero = bytes(span)
+    if slot[0] == 1:
+        return b"".join([bytes(x).ljust(size, b"\0") if x else zero for x in entries])
+    return b"".join([_encode(x, slot).ljust(span, b"\0") if x else zero for x in entries])
 
 
 def _pack_column(entries: list, size: int, slot: tuple[int, str | None]) -> int:
     """The integer holding each entry in its own block of size slots, the
     first entry in the lowest block."""
+    return int.from_bytes(_encode_column(entries, size, slot), "little")
+
+
+def _decode(block: bytes, slot: tuple[int, str | None]) -> tuple:
+    """The payload held by a block of reduced coefficients."""
+    width, code = slot
+    data = block.rstrip(b"\0")
+    if width == 1:
+        return tuple(data)
+    n = -(-len(data) // width)
+    data = data.ljust(n * width, b"\0")
+    if code:
+        return struct.unpack(f"<{n}{code}", data)
+    return tuple([int.from_bytes(data[k : k + width], "little") for k in range(0, n * width, width)])
+
+
+def _decode_all(blocks, slot: tuple[int, str | None]) -> list:
+    """The payloads held by blocks of reduced coefficients."""
     if slot[0] == 1:
-        return int.from_bytes(b"".join([bytes(x).ljust(size, b"\0") for x in entries]), "little")
-    return _pack([c for x in entries for c in x + (0,) * (size - len(x))], slot)
+        return list(map(tuple, map(bytes.rstrip, blocks, itertools.repeat(b"\0"))))
+    return [_decode(block, slot) for block in blocks]
+
+
+def _length(block: bytes, width: int) -> int:
+    """The length of the payload held by a block of width-byte slots."""
+    return -(-len(block.rstrip(b"\0")) // width)
+
+
+def _blocks(data: bytes, span: int) -> tuple:
+    """data cut into blocks of span bytes."""
+    # one format field per block, as a tableau has few rows: two to three
+    # times as fast as iter_unpack on a column of 6 to 28 blocks; struct
+    # keeps at most 100 compiled formats
+    return struct.unpack(f"{span}s" * (len(data) // span), data)
+
+
+def _longest(data: bytes, span: int, width: int) -> int:
+    """The length of the longest payload held by data's blocks of span bytes."""
+    stripped = map(bytes.rstrip, _blocks(data, span), itertools.repeat(b"\0"))
+    return -(-max(map(len, stripped), default=0) // width)
+
+
+def _cut(data: bytes, span: int, part: int) -> bytes:
+    """The first part bytes of each of data's blocks of span bytes."""
+    return b"".join([block[:part] for block in _blocks(data, span)])
+
+
+def _spread(data: bytes, width: int, wide: int, step: int = 1) -> bytes:
+    """data's slots of width bytes moved into slots of wide bytes, in
+    reverse order for step -1: one extended-slice copy per byte."""
+    if width == wide == 1:
+        return data[::step]
+    out = bytearray(len(data) // width * wide)
+    for k in range(width):
+        out[k::wide] = data[k::width][::step]
+    return out
 
 
 @cache
@@ -108,16 +185,24 @@ def _mod_table(p: int) -> bytes:
     return bytes(c % p for c in range(256))
 
 
-def _read(total: int, n: int, slot: tuple[int, str | None], p: int):
-    """The first n slots of total, each reduced mod p: bytes for 1-byte
-    slots, else a list."""
+def _residues(data: bytes, slot: tuple[int, str | None], p: int):
+    """data's slots, each reduced mod p: bytes for 1-byte slots, else a list."""
     width, code = slot
-    data = total.to_bytes(n * width, "little")
     if width == 1:
         return data.translate(_mod_table(p))
     if code:
-        return [c % p for c in struct.unpack(f"<{n}{code}", data)]
-    return [int.from_bytes(data[k : k + width], "little") % p for k in range(0, n * width, width)]
+        return [c % p for c in struct.unpack(f"<{len(data) // width}{code}", data)]
+    if width == 16:
+        # two 8-byte halves per slot: a third faster than int.from_bytes
+        halves = struct.unpack(f"<{len(data) // 8}Q", data)
+        return [(low | high << 64) % p for low, high in zip(halves[::2], halves[1::2])]
+    return [int.from_bytes(data[k : k + width], "little") % p for k in range(0, len(data), width)]
+
+
+def _read(total: int, n: int, slot: tuple[int, str | None], p: int):
+    """The first n slots of total, each reduced mod p: bytes for 1-byte
+    slots, else a list."""
+    return _residues(total.to_bytes(n * slot[0], "little"), slot, p)
 
 
 def _unpack_column(total: int, count: int, size: int, slot: tuple[int, str | None], p: int) -> list:
@@ -131,6 +216,18 @@ def _unpack_column(total: int, count: int, size: int, slot: tuple[int, str | Non
         blocks = map(operator.itemgetter(0), struct.iter_unpack(f"{size}s", coeffs))
         return list(map(tuple, map(bytes.rstrip, blocks, itertools.repeat(b"\0"))))
     return [_poly_trim(coeffs[k : k + size]) for k in range(0, end, size)]
+
+
+def _reduce_blocks(data: bytes, size: int, slot: tuple[int, str | None], p: int, stored, span: int) -> bytes:
+    """data's blocks of size slots, each slot reduced mod p, in blocks of
+    span bytes of stored slots.  Slots past 1 byte are reduced one at a
+    time, so each block is read only below its zero top."""
+    width, zero = slot[0], bytes(span)
+    out = []
+    for block in _blocks(data, size * width):
+        block = block[: _length(block, width) * width]
+        out.append(_encode(_residues(block, slot, p), stored).ljust(span, b"\0") if block else zero)
+    return b"".join(out)
 
 
 def _series_inverse(c: tuple, m: int, p: int) -> tuple:
@@ -163,6 +260,247 @@ def _parse_poly(text: str, p: int) -> tuple:
         except RingParseError:
             raise RingParseError(f"invalid coefficient {_excerpt(part)}") from None
     return _poly_trim(coeffs)
+
+
+class _PackedTableau(Tableau):
+    """GF(p)[x]'s tableau: every column is one packed byte string.
+
+    A column holds one block of self.size slots per row, and a slot holds
+    one coefficient, reduced mod p, in self.slot (the narrowest slot that
+    holds p - 1); an entry is its block, low coefficient first, zero-padded
+    at the top.  Row i's block sits at position self.order[i] of every
+    column, so a row swap only permutes self.order.  Every change is a
+    sequence of shears x + f * y (_shears): one product of packed integers
+    whose slots are as wide as its sum needs, then one reduction mod p back
+    into stored slots.  self.lens[j] bounds the length of every entry of
+    column j, so an operation checks against it that the blocks have room
+    for every product it forms, before forming it; when they have not, the
+    bounds are measured again, and then the blocks grow (_room).  Entries
+    are decoded only when read.
+    """
+
+    def __init__(self, p: int, grid: list[list]):
+        self.p = p
+        self.slot = _slot(p - 1)
+        self.capacity = 1 << 8 * self.slot[0]
+        self.order = list(range(len(grid)))
+        columns = list(zip(*grid))
+        lengths = [list(map(len, row)) for row in grid]
+        self.lens = [max(col) for col in zip(*lengths)]
+        # room for the product of two minors, the bound Kannan-Bachem keeps
+        # finished entries to: a minor's degree is at most the sum of its
+        # rows' largest degrees, and of its columns'
+        degrees = min(
+            sum(max(max(row, default=0) - 1, 0) for row in lengths),
+            sum(max(length - 1, 0) for length in self.lens),
+        )
+        self.size = 2 * degrees + 1
+        self.span = self.size * self.slot[0]
+        self.cols = [_encode_column(col, self.size, self.slot) for col in columns]
+
+    def entry(self, i, j):
+        span = self.span
+        lo = self.order[i] * span
+        return _decode(self.cols[j][lo : lo + span], self.slot)
+
+    def is_zero(self, i, j):
+        span = self.span
+        lo = self.order[i] * span
+        return not self.cols[j][lo : lo + span].rstrip(b"\0")
+
+    def _room(self, extra: int, *columns: int) -> None:
+        """Make the blocks hold extra + longest - 1 slots, longest the longest
+        entry of the given columns: room for the product of a payload of
+        length extra with any of their entries."""
+        lens = self.lens
+        if extra + max(map(lens.__getitem__, columns)) - 1 <= self.size:
+            return
+        span, width = self.span, self.slot[0]
+        for c in columns:
+            lens[c] = _longest(self.cols[c], span, width)
+        need = extra + max(map(lens.__getitem__, columns)) - 1
+        if need > self.size:
+            self._resize(max(need, self.size + self.size // 2))
+
+    def _resize(self, size: int) -> None:
+        span, wide = self.span, size * self.slot[0]
+        self.cols[:] = [b"".join([block.ljust(wide, b"\0") for block in _blocks(col, span)]) for col in self.cols]
+        self.size, self.span = size, wide
+
+    def _shears(self, xs: list, fss: list, ys: list, longest: list) -> list:
+        """x + the sum of f * y over fs and ys, for each x of xs and fs of
+        fss, each slot reduced mod p: xs (or b"") and ys are stored columns,
+        and the entries of ys[t] are no longer than longest[t].  One pass
+        sums every term, unless its sum would need slots past self.slot and
+        each term alone would not: then each term takes a pass."""
+        p = self.p
+        bounds = [(p - 1) ** 2 * min(max(len(fs[t]) for fs in fss), longest[t]) for t in range(len(ys))]
+        if p - 1 + sum(bounds) >= self.capacity > p - 1 + max(bounds):
+            for t, y in enumerate(ys):
+                xs = self._pass(xs, [fs[t : t + 1] for fs in fss], [y], p - 1 + bounds[t])
+            return xs
+        return self._pass(xs, fss, ys, p - 1 + sum(bounds))
+
+    def _pass(self, xs: list, fss: list, ys: list, bound: int) -> list:
+        """_shears in one product per x, with slots that hold bound.  Past
+        self.slot, the columns are cut to blocks just long enough for their
+        entries and the products, and spread into slots that wide: such
+        slots are reduced one at a time, so every slot saved counts."""
+        p, stored, size = self.p, self.slot, self.size
+        slot = stored if bound < self.capacity else _slot(bound)
+        width, narrow = slot[0], stored[0]
+        if width != narrow:
+            span = self.span
+            longest_f = max(len(f) for fs in fss for f in fs)
+            size = max(
+                1,
+                *(_longest(x, span, narrow) for x in xs),
+                longest_f + max(_longest(y, span, narrow) for y in ys) - 1,
+            )
+            xs = [_spread(_cut(x, span, size * narrow), narrow, width) for x in xs]
+            ys = [_spread(_cut(y, span, size * narrow), narrow, width) for y in ys]
+        n = len(ys[0]) // width
+        ys = [int.from_bytes(y, "little") for y in ys]
+        out = []
+        for x, fs in zip(xs, fss):
+            total = int.from_bytes(x, "little")
+            for f, y in zip(fs, ys):
+                total += _pack(f, slot) * y
+            if width == 1:
+                out.append(_read(total, n, slot, p))
+            else:
+                out.append(_reduce_blocks(total.to_bytes(n * width, "little"), size, slot, p, stored, self.span))
+        return out
+
+    def add_col(self, i, j, f):
+        lens = self.lens
+        if not f or not lens[j]:
+            return
+        self._room(len(f), j)
+        cols, p = self.cols, self.p
+        bound = p - 1 + (p - 1) ** 2 * min(len(f), lens[j])
+        (cols[i],) = self._pass([cols[i]], [[f]], [cols[j]], bound)
+        lens[i] = max(lens[i], len(f) + lens[j] - 1)
+
+    def col_block(self, i, j, t):
+        (t00, t01), (t10, t11) = t
+        longest_t = max(map(len, (t00, t01, t10, t11)))
+        if longest_t:
+            self._room(longest_t, i, j)
+        cols, lens = self.cols, self.lens
+        long_x, long_y = lens[i], lens[j]
+        cols[i], cols[j] = self._shears([b"", b""], [[t00, t10], [t01, t11]], [cols[i], cols[j]], [long_x, long_y])
+        lens[i] = lens[j] = max(long_x, long_y) + longest_t - 1 if longest_t else 0
+
+    def reduce_row(self, r):
+        # One Kronecker product gives every quotient (von zur Gathen &
+        # Gerhard, Modern Computer Algebra, 9.1): with L the longest dividend
+        # and m = L - len d + 1, each reversed dividend, zero-padded at the
+        # bottom to length L, times the inverse of the reversed pivot modulo
+        # x^m holds its quotient reversed in the first m slots of its block.
+        # The inverse is negated, so these are the shear factors.  A slot
+        # holds (p - 1)^2 min(L, m).  The dividends are the first L slots of
+        # row r's block in each target column: one slot reversal of their
+        # join, padded between, reverses each and puts its padding above it.
+        # Each target column then takes its own shear against column r's
+        # integer: one product of column r by every factor, each in a
+        # column-long block, would multiply two long integers, where a shear
+        # multiplies a long one by a short one.
+        p, slot, cols = self.p, self.slot, self.cols
+        width, span = slot[0], self.span
+        lo = self.order[r] * span
+        blocks = [col[lo : lo + span] for col in cols[: r + 1]]
+        lengths = [-(-n // width) for n in map(len, map(bytes.rstrip, blocks, itertools.repeat(b"\0")))]
+        top = lengths[r]
+        targets = [c for c in range(r) if lengths[c] >= top]
+        if not targets:
+            return
+        longest_x = max(lengths[c] for c in targets)
+        m = longest_x - top + 1
+        quotient_slot = _slot((p - 1) ** 2 * min(longest_x, m))
+        size = longest_x + m - 1
+        pad = bytes((m - 1) * width)
+        dividends = pad + pad.join([blocks[c][: longest_x * width] for c in reversed(targets)])
+        inverse = [-c % p for c in _series_inverse(_decode(blocks[r], slot)[::-1], m, p)]
+        total = int.from_bytes(_spread(dividends, width, quotient_slot[0], -1), "little") * _pack(
+            inverse, quotient_slot
+        )
+        coeffs = _read(total, len(targets) * size, quotient_slot, p)
+        factors = [_poly_trim(coeffs[k : k + m][::-1]) for k in range(0, len(coeffs), size)]
+        self._room(m, r)
+        lens = self.lens
+        bound = p - 1 + (p - 1) ** 2 * min(m, lens[r])
+        new = self._pass([cols[c] for c in targets], [[f] for f in factors], [cols[r]], bound)
+        for c, x in zip(targets, new):
+            cols[c] = x
+            lens[c] = max(lens[c], lengths[c] - top + lens[r])
+
+    def _row(self, i: int) -> bytes:
+        """Row i's blocks, one per column: laid out as a column."""
+        span = self.span
+        lo = self.order[i] * span
+        return b"".join([col[lo : lo + span] for col in self.cols])
+
+    def _rows(self, extra: int, rows):
+        """The given rows as _row lays them out and the length of their
+        longest entry, with blocks that hold extra + longest - 1 slots."""
+        span, width = self.span, self.slot[0]
+        data = [self._row(i) for i in rows]
+        longest = max(_longest(d, span, width) for d in data)
+        if extra + longest - 1 > self.size:
+            self._resize(max(extra + longest - 1, self.size + self.size // 2))
+            data = [self._row(i) for i in rows]
+        return data, longest
+
+    def _set_row(self, i: int, data: bytes) -> None:
+        span, width = self.span, self.slot[0]
+        lo = self.order[i] * span
+        cols, lens = self.cols, self.lens
+        for c, block in enumerate(_blocks(data, span)):
+            cols[c] = cols[c][:lo] + block + cols[c][lo + span :]
+            lens[c] = max(lens[c], _length(block, width))
+
+    def swap_rows(self, i, j):
+        order = self.order
+        order[i], order[j] = order[j], order[i]
+
+    def swap_cols(self, i, j):
+        cols, lens = self.cols, self.lens
+        cols[i], cols[j] = cols[j], cols[i]
+        lens[i], lens[j] = lens[j], lens[i]
+
+    def add_row(self, i, j, f):
+        if not f:
+            return
+        (y,), longest = self._rows(len(f), (j,))
+        p = self.p
+        self._set_row(i, self._pass([self._row(i)], [[f]], [y], p - 1 + (p - 1) ** 2 * min(len(f), longest))[0])
+
+    def row_block(self, i, j, t):
+        (t00, t01), (t10, t11) = t
+        (x, y), longest = self._rows(max(map(len, (t00, t01, t10, t11))), (i, j))
+        new_i, new_j = self._shears([b"", b""], [[t00, t01], [t10, t11]], [x, y], [longest, longest])
+        self._set_row(i, new_i)
+        self._set_row(j, new_j)
+
+    def scale_row(self, i, u):
+        self._set_row(i, self._pass([b""], [[u]], [self._row(i)], (self.p - 1) ** 2)[0])
+
+    def transpose(self):
+        # the entries keep their lengths, so every column is bounded by the
+        # longest bound of any
+        cols, span = self.cols, self.span
+        rows = list(zip(*[_blocks(col, span) for col in cols]))
+        self.cols = [b"".join(rows[k]) for k in self.order]
+        self.lens = [max(self.lens, default=0)] * len(self.cols)
+        self.order = list(range(len(cols)))
+
+    def block(self, top, bottom, left, right):
+        picked = self.order[top:bottom]
+        columns = [
+            _decode_all(map(_blocks(col, self.span).__getitem__, picked), self.slot) for col in self.cols[left:right]
+        ]
+        return list(map(list, zip(*columns))) if columns else [[] for _ in picked]
 
 
 @value_class
@@ -227,15 +565,16 @@ class PolynomialRing(EuclideanRing):
         if len(x) == 1:
             a = x[0]
             return tuple([a * c % p for c in y])
-        if len(x) < _KRONECKER_MIN_LEN:
-            out = [0] * n
-            for i, a in enumerate(x):
-                if a:
-                    for j, b in enumerate(y, i):
-                        out[j] = (out[j] + a * b) % p
-            return tuple(out)
-        slot = _slot((p - 1) ** 2 * len(x))
-        return tuple(_read(_pack(x, slot) * _pack(y, slot), n, slot, p))
+        if len(x) >= _KRONECKER_MIN_LEN:
+            slot = _slot((p - 1) ** 2 * len(x))
+            if _packs(len(x), slot[0]):
+                return tuple(_read(_pack(x, slot) * _pack(y, slot), n, slot, p))
+        out = [0] * n
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y, i):
+                    out[j] = (out[j] + a * b) % p
+        return tuple(out)
 
     def _matmul(self, left, right):
         # Kronecker substitution on whole dot products: each entry is packed
@@ -264,91 +603,8 @@ class PolynomialRing(EuclideanRing):
             out.append(out_row)
         return out
 
-    def _add_col(self, rows, i, j, f):
-        # Kronecker substitution on whole columns: each column is one integer
-        # with a block of `size` slots per entry, wide enough that f * y never
-        # spills into the next block, so one bignum expression is the column.
-        # Only the rows with y nonzero take part.  A slot holds
-        # (p - 1) + (p - 1)^2 * min(len f, longest y).
-        ys = [row[j] for row in rows]
-        live = list(itertools.compress(rows, ys))
-        if not f or not live:
-            return
-        ys = list(filter(None, ys))
-        longest_y = max(map(len, ys))
-        p = self.p
-        slot = _slot(p - 1 + (p - 1) ** 2 * min(len(f), longest_y))
-        xs = [row[i] for row in live]
-        size = max(max(map(len, xs)), len(f) + longest_y - 1)
-        total = _pack_column(xs, size, slot) + _pack(f, slot) * _pack_column(ys, size, slot)
-        for row, x in zip(live, _unpack_column(total, len(live), size, slot, p)):
-            row[i] = x
-
-    def _col_block(self, rows, i, j, t):
-        # as _add_col, over the rows with x or y nonzero; a slot holds
-        # 2 (p - 1)^2 * min(longest x or y, longest t)
-        live = [row for row in rows if row[i] or row[j]]
-        if not live:
-            return
-        xs = [row[i] for row in live]
-        ys = [row[j] for row in live]
-        longest = max(max(map(len, xs)), max(map(len, ys)))
-        longest_t = max(len(e) for pair in t for e in pair)
-        if not longest_t:
-            # slots sized for the zero products could not hold x or y
-            for row in live:
-                row[i] = row[j] = ()
-            return
-        p = self.p
-        slot = _slot(2 * (p - 1) ** 2 * min(longest, longest_t))
-        size = longest + longest_t - 1
-        x, y = _pack_column(xs, size, slot), _pack_column(ys, size, slot)
-        (t00, t01), (t10, t11) = [[_pack(e, slot) for e in pair] for pair in t]
-        count = len(live)
-        new_i = _unpack_column(x * t00 + y * t10, count, size, slot, p)
-        new_j = _unpack_column(x * t01 + y * t11, count, size, slot, p)
-        for row, a, b in zip(live, new_i, new_j):
-            row[i], row[j] = a, b
-
-    def _reduce_row(self, rows, r):
-        # Two Kronecker products per row.  Quotients (von zur Gathen &
-        # Gerhard, Modern Computer Algebra, 9.1): with L the longest dividend
-        # and m = L - len d + 1, each reversed dividend, zero-padded at the
-        # bottom to length L, times the inverse of the reversed pivot modulo
-        # x^m holds its quotient reversed in the first m slots of its block.
-        # The inverse is negated, so these are the shear factors.  A slot
-        # holds (p - 1)^2 min(L, m).  Shears: X, the target columns over the
-        # live rows (column r nonzero) packed target-major, plus F * Y, F
-        # each factor in its own block of live * size slots and Y column r,
-        # is every target column after its shear.  A slot holds
-        # (p - 1) + (p - 1)^2 min(m, longest y), as in _add_col.
-        row = rows[r]
-        d = row[r]
-        targets = [c for c in range(r) if len(row[c]) >= len(d)]
-        if not targets:
-            return
-        live = [tableau_row for tableau_row in rows if tableau_row[r]]
-        ys = [tableau_row[r] for tableau_row in live]
-        longest_x = max(len(row[c]) for c in targets)
-        longest_y = max(map(len, ys))
-        m = longest_x - len(d) + 1
-        p = self.p
-        slot = _slot((p - 1) ** 2 * min(longest_x, m))
-        size = longest_x + m - 1
-        end = len(targets) * size
-        dividends = [(0,) * (longest_x - len(row[c])) + row[c][::-1] for c in targets]
-        inverse = self._neg(_series_inverse(d[::-1], m, p))
-        coeffs = _read(_pack_column(dividends, size, slot) * _pack(inverse, slot), end, slot, p)
-        factors = [_poly_trim(coeffs[k : k + m][::-1]) for k in range(0, end, size)]
-        xs = [tableau_row[c] for c in targets for tableau_row in live]
-        size = max(max(map(len, xs)), m + longest_y - 1)
-        slot = _slot(p - 1 + (p - 1) ** 2 * min(m, longest_y))
-        total = _pack_column(xs, size, slot) + _pack_column(
-            factors, len(live) * size, slot
-        ) * _pack_column(ys, size, slot)
-        new = _unpack_column(total, len(xs), size, slot, p)
-        for (c, tableau_row), x in zip(itertools.product(targets, live), new):
-            tableau_row[c] = x
+    def _tableau(self, grid):
+        return _PackedTableau(self.p, grid)
 
     def _bareiss_rows(self, rows, k, prev):
         # Kronecker substitution on whole row tails: each row's numerator

@@ -10,7 +10,9 @@ bounded by the input's minors, run alternately on the matrix and its
 transpose until nothing is left below the diagonal (polynomially many
 passes); divisibility chains are repaired by delegating diagonal pairs
 back to the comaximal core.  Both work on one tableau [[A, P], [Q, 0]],
-whose transpose is the tableau of the transposed problem.
+whose transpose is the tableau of the transposed problem; the ring holds it
+in its own layout, and the reducer reads and changes it only through the
+tableau's operations.
 """
 
 from __future__ import annotations
@@ -104,61 +106,32 @@ def hermite_reduce_2x1(
 class _Tracked:
     """The tableau [[A, P], [Q, 0]] with P * A0 * Q = A maintained throughout.
 
-    a is one list of m + n rows: the first m rows hold A (m x n) followed
-    by P (m x m), the last n rows hold Q (n x n) followed by n x m zeros,
-    so a[i][j] with i < m and j < n is the working matrix.  A row operation
-    on rows below m moves A and P together, a column operation on columns
-    below n moves A and Q together, and neither touches the zero block.
+    The ring holds it (ring._tableau), in its own layout, as m + n rows: the
+    first m hold A (m x n) followed by P (m x m), the last n hold Q (n x n)
+    followed by n x m zeros, so entry (i, j) with i < m and j < n is the
+    working matrix.  A row operation on rows below m moves A and P together,
+    a column operation on columns below n moves A and Q together, and
+    neither touches the zero block.  The reducer reads entries only through
+    self.tab (entry, is_zero) and changes them only through seven
+    operations and the tableau's reduce_row.  The seven are the tableau's
+    own methods, bound in __init__ so that a call costs no extra frame:
+    row_block(i, j, t) (rows i, j of A and P become t applied to the old
+    pair), col_block(i, j, t) (columns i, j of A and Q become the old pair
+    times t), add_col(i, j, f) (col_i += f * col_j), add_row(i, j, f)
+    (row_i += f * row_j), scale_row(i, u) (row_i *= u for a unit u),
+    swap_rows and swap_cols.
     """
 
     def __init__(self, ring: Ring, source: Matrix):
         self.ring = ring
         self.m = m = source.rows
         self.n = n = source.cols
-        grid = source.payload_grid()
-        self.a = [row + _unit_row(ring, i, m) for i, row in enumerate(grid)]
-        self.a += [_unit_row(ring, j, n + m) for j in range(n)]
-
-    def row_block(self, i: int, j: int, t) -> None:
-        """Rows i, j of A (and P) become t applied to the old pair."""
-        ring = self.ring
-        (t00, t01), (t10, t11) = t
-        ri, rj = self.a[i], self.a[j]
-        for k in range(len(ri)):
-            x, y = ri[k], rj[k]
-            ri[k] = ring._add(ring._mul(t00, x), ring._mul(t01, y))
-            rj[k] = ring._add(ring._mul(t10, x), ring._mul(t11, y))
-
-    def col_block(self, i: int, j: int, t) -> None:
-        """Columns i, j of A (and Q) become the old pair times t."""
-        self.ring._col_block(self.a, i, j, t)
-
-    def add_col(self, i: int, j: int, f) -> None:
-        """col_i += f * col_j."""
-        self.ring._add_col(self.a, i, j, f)
-
-    def swap_rows(self, i: int, j: int) -> None:
-        a = self.a
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(self, i: int, j: int) -> None:
-        if i != j:
-            for row in self.a:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(self, i: int, j: int, f) -> None:
-        """row_i += f * row_j."""
-        ring = self.ring
-        ri, rj = self.a[i], self.a[j]
-        for k in range(len(ri)):
-            ri[k] = ring._add(ri[k], ring._mul(f, rj[k]))
-
-    def scale_row(self, i: int, u) -> None:
-        """row_i *= u for a unit u."""
-        ring = self.ring
-        ri = self.a[i]
-        for k in range(len(ri)):
-            ri[k] = ring._mul(u, ri[k])
+        grid = [row + _unit_row(ring, i, m) for i, row in enumerate(source.payload_grid())]
+        grid += [_unit_row(ring, j, n + m) for j in range(n)]
+        self.tab = tab = ring._tableau(grid)
+        self.row_block, self.col_block, self.add_col = tab.row_block, tab.col_block, tab.add_col
+        self.swap_rows, self.swap_cols = tab.swap_rows, tab.swap_cols
+        self.add_row, self.scale_row = tab.add_row, tab.scale_row
 
     def transpose(self) -> None:
         """Swap to the transposed problem Q^t * A0^t * P^t = A^t, whose
@@ -166,19 +139,18 @@ class _Tracked:
 
         Column operations on the result are row operations on the original.
         """
-        self.a = [list(col) for col in zip(*self.a)]
+        self.tab.transpose()
         self.m, self.n = self.n, self.m
 
     def certificate(self) -> ReductionCertificate:
         m, n = self.m, self.n
-        top, bottom = self.a[:m], self.a[m:]
         return ReductionCertificate(
-            self._block(top, n, m + n), self._block(top, 0, n), self._block(bottom, 0, n)
+            self._block(0, m, n, m + n), self._block(0, m, 0, n), self._block(m, m + n, 0, n)
         )
 
-    def _block(self, rows, lo: int, hi: int) -> Matrix:
-        """Columns lo..hi-1 of the given tableau rows, shaped even when empty."""
-        return from_payload_grid(self.ring, [row[lo:hi] for row in rows], hi - lo)
+    def _block(self, top: int, bottom: int, left: int, right: int) -> Matrix:
+        """A block of the tableau, shaped even when empty."""
+        return from_payload_grid(self.ring, self.tab.block(top, bottom, left, right), right - left)
 
 
 def _unit_row(ring: Ring, i: int, size: int) -> list:
@@ -233,19 +205,19 @@ def reduce_2x2_comaximal(ring: Ring, source: Matrix) -> ReductionCertificate:
     if source.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {source.shape}")
     zero, one = ring._zero(), ring._one()
-    grid = source.payload_grid()
-    if grid[0][1] != zero:
+    (a, upper), (b, c) = source.payload_grid()
+    if upper != zero:
         raise ValueError("matrix must have shape [[a, 0], [b, c]]")
-    a, b, c = grid[0][0], grid[1][0], grid[1][1]
     if not ring._ideal_has_one((a, b, c)):
         raise ValueError("entries are not comaximal")
     work = _Tracked(ring, source)
+    tab = work.tab
     if ring._is_unit(a):
         # Degenerate input: scale the corner to 1 and shear b away.
         if a != one:
             work.scale_row(0, ring._unit_inverse(a))
         if b != zero:
-            work.add_row(1, 0, ring._neg(work.a[1][0]))
+            work.add_row(1, 0, ring._neg(tab.entry(1, 0)))
     elif a == zero:
         # Row (b, c) is itself comaximal: one Hermite step leaves the unit
         # corner directly.
@@ -263,7 +235,7 @@ def reduce_2x2_comaximal(ring: Ring, source: Matrix) -> ReductionCertificate:
         t, alpha = _hermite_blocks(ring, w.payload, c)
         ((t00, t01), (t10, t11)) = t
         work.col_block(0, 1, ((ring._neg(t01), t00), (ring._neg(t11), t10)))
-        a_top, c_top = work.a[0][0], work.a[0][1]
+        a_top, c_top = tab.entry(0, 0), tab.entry(0, 1)
         # divisor-of-a-diadem completion: alpha divides w, so a multiplier m
         # with gcd(w, c1 + d1*m) unit also makes (c_top + a_top*m, alpha) comaximal
         k_cert = bezout_gcd(
@@ -273,16 +245,16 @@ def reduce_2x2_comaximal(ring: Ring, source: Matrix) -> ReductionCertificate:
             ring, w.payload, k_cert.a1.payload, k_cert.b1.payload
         )
         work.col_block(0, 1, ((m, one), (one, zero)))
-        t, g = _hermite_blocks(ring, work.a[0][0], work.a[1][0])
+        t, g = _hermite_blocks(ring, tab.entry(0, 0), tab.entry(1, 0))
         work.row_block(0, 1, _transposed(t))
     # corner is now the unit g (exactly 1 after normalization); clear the rest
-    corner = work.a[0][0]
+    corner = tab.entry(0, 0)
     if corner != one:
         work.scale_row(0, ring._unit_inverse(corner))
-    beta = work.a[0][1]
+    beta = tab.entry(0, 1)
     if beta != zero:
         work.col_block(0, 1, ((one, ring._neg(beta)), (zero, one)))
-    norm = ring._normalizer(work.a[1][1])
+    norm = ring._normalizer(tab.entry(1, 1))
     if norm is not None:
         work.scale_row(1, norm)
     return work.certificate()
@@ -299,14 +271,14 @@ def _size_reduce(work: _Tracked, start: int, k: int) -> None:
     Each entry left of the diagonal is taken modulo its row's diagonal
     entry by a column shear.  Column r is zero above row r, so the shear
     only touches rows r and below of the reduced column; going top-down
-    leaves every finished row reduced.  A row is one call of the ring's
-    row kernel _reduce_row: entry by entry by default, and over GF(p)[x]
-    all of the row's quotients in one packed product and all of its
-    shears in another.
+    leaves every finished row reduced.  A row is one call of the
+    tableau's reduce_row: entry by entry over Z, and over GF(p)[x] all of
+    the row's quotients in one packed product and all of its shears in
+    another.
     """
-    ring, a = work.ring, work.a
+    tab = work.tab
     for r in range(start, k):
-        ring._reduce_row(a, r)
+        tab.reduce_row(r)
 
 
 def _column_hermite(work: _Tracked) -> int:
@@ -322,30 +294,34 @@ def _column_hermite(work: _Tracked) -> int:
     afterwards rows 0..r-1 of columns 0..r-1 are lower triangular with a
     nonzero diagonal, and columns r.. are zero.
     """
-    ring = work.ring
+    ring, entry, is_zero = work.ring, work.tab.entry, work.tab.is_zero
     zero = ring._zero()
-    a = work.a
+    # pivots[j] is entry (j, j): only a Hermite block on column j changes
+    # it, as rows above a pivot are zero in every later column
+    pivots = []
     rank, end = 0, work.n
     while rank < end:
         i = rank
         start = i
         for j in range(i):
-            x = a[j][i]
+            x = entry(j, i)
             if x == zero:
                 continue
-            q = ring._divides(a[j][j], x)
+            q = ring._divides(pivots[j], x)
             if q is not None:
                 work.add_col(i, j, ring._neg(q))
             else:
-                t, _ = _hermite_blocks(ring, a[j][j], x)
+                t, _ = _hermite_blocks(ring, pivots[j], x)
                 work.col_block(j, i, t)
+                pivots[j] = entry(j, j)
                 start = min(start, j)
-        row = next((r for r in range(i, work.m) if a[r][i] != zero), None)
+        row = next((r for r in range(i, work.m) if not is_zero(r, i)), None)
         if row is None:
             end -= 1
             work.swap_cols(i, end)
             continue
         work.swap_rows(i, row)
+        pivots.append(entry(i, i))
         rank += 1
         _size_reduce(work, start, rank)
     return rank
@@ -354,7 +330,7 @@ def _column_hermite(work: _Tracked) -> int:
 def _merge_diagonal_pair(work: _Tracked, i: int, j: int) -> None:
     """Replace diag entries (d_i, d_j) by (gcd, lcm-associate) via the core."""
     ring = work.ring
-    di, dj = work.a[i][i], work.a[j][j]
+    di, dj = work.tab.entry(i, i), work.tab.entry(j, j)
     if ring._divides(di, dj) is not None:
         return
     cert = bezout_gcd(ring, RingElement(ring, di), RingElement(ring, dj))
@@ -400,12 +376,12 @@ def smith_normal_form(ring: Ring, source: Matrix) -> ReductionCertificate:
     if source.ring != ring:
         raise ValueError("matrix ring mismatch")
     work = _Tracked(ring, source)
-    zero = ring._zero()
+    tab = work.tab
     rank = _column_hermite(work)
     flipped = False
     # columns rank.. are zero after a pass, so only the first rank can hold
     # entries below the diagonal
-    while any(work.a[i][j] != zero for j in range(rank) for i in range(j + 1, work.m)):
+    while not all(tab.is_zero(i, j) for j in range(rank) for i in range(j + 1, work.m)):
         work.transpose()
         flipped = not flipped
         _column_hermite(work)
@@ -415,7 +391,7 @@ def smith_normal_form(ring: Ring, source: Matrix) -> ReductionCertificate:
         for j in range(i + 1, rank):
             _merge_diagonal_pair(work, i, j)
     for i in range(rank):
-        norm = ring._normalizer(work.a[i][i])
+        norm = ring._normalizer(tab.entry(i, i))
         if norm is not None:
             work.scale_row(i, norm)
     return work.certificate()

@@ -25,11 +25,12 @@ Bareiss loop serves both domains; the update of the rows below a pivot
 (EuclideanRing._bareiss_rows) runs on native ints over Z and as one
 Kronecker-packed expression per row over GF(p)[x].  A matrix product sums
 each dot product as native ints on Z and as Kronecker-packed entries on
-GF(p)[x].  The reducer runs only on Z and GF(p)[x]: its column shears
-(EuclideanRing._add_col, _col_block) run entry by entry on native ints
-over Z and whole columns at a time over GF(p)[x], in place.  Its size
-reduction of a row (EuclideanRing._reduce_row) divides and shears entry by
-entry over Z and takes the whole row in two packed products over GF(p)[x].
+GF(p)[x].  The reducer runs only on Z and GF(p)[x], on a tableau the ring
+lays out (EuclideanRing._tableau, the contract Tableau) and reads only
+through its operations: over Z a list of rows of native ints changed entry
+by entry (RowTableau), over GF(p)[x] one packed byte string per column for
+a whole Hermite pass, so a column shear is one packed product and a row's
+size reduction takes every quotient in one more.
 
 Element literals are read and written one at a time by _parse and _format,
 and a matrix row at a time by _parse_row and _format_row.  The row codecs
@@ -437,6 +438,66 @@ class Ring(ABC):
 # ---------------------------------------------------------------------------
 
 
+class Tableau(ABC):
+    """The reducer's working grid of payloads, held in the ring's own layout.
+
+    A Euclidean ring's _tableau(grid) copies a payload grid into one; the
+    reducer then reads entries only through entry and is_zero and changes
+    them only through the operations below.  Z keeps a list of rows of
+    native ints (RowTableau); GF(p)[x] keeps each column as one packed byte
+    string (edrkit.polynomials).  Indices are 0-based (row, column).
+    """
+
+    @abstractmethod
+    def entry(self, i: int, j: int) -> Any:
+        """The payload at row i, column j."""
+
+    @abstractmethod
+    def is_zero(self, i: int, j: int) -> bool:
+        """Whether the entry at row i, column j is zero."""
+
+    @abstractmethod
+    def add_col(self, i: int, j: int, f: Any) -> None:
+        """Column i += f * column j."""
+
+    @abstractmethod
+    def col_block(self, i: int, j: int, t) -> None:
+        """Columns i, j become the old pair times the 2 x 2 payload block t."""
+
+    @abstractmethod
+    def reduce_row(self, r: int) -> None:
+        """Size-reduce row r: every column c < r -= (entry (r, c) div entry
+        (r, r)) * column r, the pivot entry (r, r) nonzero.  Each shear
+        changes only its own column, so every quotient is that of the row
+        as given."""
+
+    @abstractmethod
+    def swap_rows(self, i: int, j: int) -> None: ...
+
+    @abstractmethod
+    def swap_cols(self, i: int, j: int) -> None: ...
+
+    @abstractmethod
+    def add_row(self, i: int, j: int, f: Any) -> None:
+        """Row i += f * row j."""
+
+    @abstractmethod
+    def row_block(self, i: int, j: int, t) -> None:
+        """Rows i, j become t times the old pair."""
+
+    @abstractmethod
+    def scale_row(self, i: int, u: Any) -> None:
+        """Row i *= u for a unit u."""
+
+    @abstractmethod
+    def transpose(self) -> None:
+        """Hold the transposed grid."""
+
+    @abstractmethod
+    def block(self, top: int, bottom: int, left: int, right: int) -> list[list]:
+        """The payload grid of rows top..bottom-1 and columns left..right-1."""
+
+
 class EuclideanRing(Ring):
     """A Euclidean domain: division with remainder, so every ideal is
     principal and the extended Euclidean algorithm certifies its generator.
@@ -502,30 +563,8 @@ class EuclideanRing(Ring):
         return self._is_unit(g)
 
     @abstractmethod
-    def _add_col(self, rows: list[list], i: int, j: int, f: Any) -> None:
-        """Column i of the payload rows += f * column j, in place."""
-
-    @abstractmethod
-    def _col_block(self, rows: list[list], i: int, j: int, t) -> None:
-        """Columns i, j of the payload rows become the old pair times the
-        2 x 2 payload block t, in place."""
-
-    def _reduce_row(self, rows: list[list], r: int) -> None:
-        """Size-reduce row r of the payload rows in place: every column c < r
-        -= (rows[r][c] div rows[r][r]) * column r, the pivot rows[r][r]
-        nonzero.  Each shear changes only its own column, so every quotient
-        is that of the row as given.  This default divides entry by entry
-        and shears each column with _add_col."""
-        zero = self._zero()
-        row = rows[r]
-        d = row[r]
-        for c in range(r):
-            x = row[c]
-            if x == zero:
-                continue
-            f = self._divmod(x, d)[0]
-            if f != zero:
-                self._add_col(rows, c, r, self._neg(f))
+    def _tableau(self, grid: list[list]) -> Tableau:
+        """The reducer's tableau holding a copy of the payload grid."""
 
     def _det(self, grid):
         """Fraction-free Gaussian elimination (Bareiss 1968).
@@ -560,6 +599,70 @@ class EuclideanRing(Ring):
 # ---------------------------------------------------------------------------
 # Integers
 # ---------------------------------------------------------------------------
+
+
+class RowTableau(Tableau):
+    """Z's tableau: a list of rows of native ints, changed in place."""
+
+    def __init__(self, grid: list[list]):
+        self.rows = [list(row) for row in grid]
+
+    def entry(self, i, j):
+        return self.rows[i][j]
+
+    def is_zero(self, i, j):
+        return not self.rows[i][j]
+
+    def add_col(self, i, j, f):
+        for row in self.rows:
+            v = row[j]
+            if v:
+                row[i] += f * v
+
+    def col_block(self, i, j, t):
+        (t00, t01), (t10, t11) = t
+        for row in self.rows:
+            x, y = row[i], row[j]
+            row[i] = x * t00 + y * t10
+            row[j] = x * t01 + y * t11
+
+    def reduce_row(self, r):
+        row = self.rows[r]
+        d = row[r]
+        for c in range(r):
+            f = row[c] // d
+            if f:
+                self.add_col(c, r, -f)
+
+    def swap_rows(self, i, j):
+        rows = self.rows
+        rows[i], rows[j] = rows[j], rows[i]
+
+    def swap_cols(self, i, j):
+        if i != j:
+            for row in self.rows:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(self, i, j, f):
+        ri, rj = self.rows[i], self.rows[j]
+        ri[:] = [x + f * y for x, y in zip(ri, rj)]
+
+    def row_block(self, i, j, t):
+        (t00, t01), (t10, t11) = t
+        ri, rj = self.rows[i], self.rows[j]
+        new_i = [t00 * x + t01 * y for x, y in zip(ri, rj)]
+        rj[:] = [t10 * x + t11 * y for x, y in zip(ri, rj)]
+        ri[:] = new_i
+
+    def scale_row(self, i, u):
+        ri = self.rows[i]
+        ri[:] = [u * x for x in ri]
+
+    def transpose(self):
+        self.rows = [list(col) for col in zip(*self.rows)]
+
+    def block(self, top, bottom, left, right):
+        return [row[left:right] for row in self.rows[top:bottom]]
 
 
 @value_class
@@ -609,18 +712,8 @@ class IntegerRing(EuclideanRing):
         columns = list(zip(*right))
         return [[sum(map(operator.mul, row, col)) for col in columns] for row in left]
 
-    def _add_col(self, rows, i, j, f):
-        for row in rows:
-            v = row[j]
-            if v:
-                row[i] += f * v
-
-    def _col_block(self, rows, i, j, t):
-        (t00, t01), (t10, t11) = t
-        for row in rows:
-            x, y = row[i], row[j]
-            row[i] = x * t00 + y * t10
-            row[j] = x * t01 + y * t11
+    def _tableau(self, grid):
+        return RowTableau(grid)
 
     def _bareiss_rows(self, rows, k, prev):
         pivot, tail_k = rows[k][k], rows[k][k + 1 :]

@@ -3,8 +3,8 @@
 These deliberately re-derive results with different algorithms than the
 package under test: determinantal divisors and determinants from raw minor
 expansion and from Berkowitz's division-free algorithm, polynomial
-arithmetic, matrix products and the ring kernels (_matmul, _add_col,
-_col_block, _bareiss_rows) from per-entry loops, Hermite completions from
+arithmetic, matrix products, the ring kernels (_matmul, _bareiss_rows) and
+the reducer's tableau (LoopTableau) from per-entry loops, Hermite completions from
 brute force over invertible 2x2 matrices, units, quotients, ideals,
 Jacobson radicals and gcd certificates of finite rings from exhaustive
 search, primality from trial division.
@@ -18,6 +18,7 @@ from itertools import combinations, product
 from edrkit.rings import (
     Ring,
     RingElement,
+    RowTableau,
     UnsupportedRingError,
     quotient_ring,
 )
@@ -293,6 +294,64 @@ def loop_col_block(ring, rows, i, j, t):
         x, y = row[i], row[j]
         row[i] = ring._add(ring._mul(x, t00), ring._mul(y, t10))
         row[j] = ring._add(ring._mul(x, t01), ring._mul(y, t11))
+
+
+def loop_reduce_row(ring, rows, r):
+    """Size-reduce row r: every column c < r -= (rows[r][c] div rows[r][r])
+    * column r, dividing entry by entry; every quotient is that of the row
+    as given."""
+    zero = ring._zero()
+    row = rows[r]
+    d = row[r]
+    for c in range(r):
+        x = row[c]
+        if x == zero:
+            continue
+        f = ring._divmod(x, d)[0]
+        if f != zero:
+            loop_add_col(ring, rows, c, r, ring._neg(f))
+
+
+class LoopTableau(RowTableau):
+    """The reducer's tableau as a list of payload rows, changed entry by
+    entry through the ring's own arithmetic."""
+
+    def __init__(self, ring, grid):
+        super().__init__(grid)
+        self.ring = ring
+
+    def is_zero(self, i, j):
+        return self.rows[i][j] == self.ring._zero()
+
+    def add_col(self, i, j, f):
+        loop_add_col(self.ring, self.rows, i, j, f)
+
+    def col_block(self, i, j, t):
+        loop_col_block(self.ring, self.rows, i, j, t)
+
+    def reduce_row(self, r):
+        loop_reduce_row(self.ring, self.rows, r)
+
+    def add_row(self, i, j, f):
+        ring = self.ring
+        ri, rj = self.rows[i], self.rows[j]
+        for k in range(len(ri)):
+            ri[k] = ring._add(ri[k], ring._mul(f, rj[k]))
+
+    def row_block(self, i, j, t):
+        ring = self.ring
+        (t00, t01), (t10, t11) = t
+        ri, rj = self.rows[i], self.rows[j]
+        for k in range(len(ri)):
+            x, y = ri[k], rj[k]
+            ri[k] = ring._add(ring._mul(t00, x), ring._mul(t01, y))
+            rj[k] = ring._add(ring._mul(t10, x), ring._mul(t11, y))
+
+    def scale_row(self, i, u):
+        ring = self.ring
+        ri = self.rows[i]
+        for k in range(len(ri)):
+            ri[k] = ring._mul(u, ri[k])
 
 
 def loop_bareiss_rows(ring, rows, k, prev):

@@ -31,12 +31,9 @@ from edrkit import (
     stable_range_2_witness,
     verify_certificate,
 )
-from edrkit.rings import EuclideanRing
-
 from oracles import (
+    LoopTableau,
     int_determinantal_divisors,
-    loop_add_col,
-    loop_col_block,
     p_add,
     p_divmod,
     p_mul,
@@ -424,9 +421,7 @@ def test_poly_snf_is_identical_under_schoolbook_kernels(p, monkeypatch):
     monkeypatch.setattr(PolynomialRing, "_add", lambda self, x, y: p_add(x, y, self.p))
     monkeypatch.setattr(PolynomialRing, "_mul", lambda self, x, y: p_mul(x, y, self.p))
     monkeypatch.setattr(PolynomialRing, "_divmod", lambda self, x, d: p_divmod(x, d, self.p))
-    monkeypatch.setattr(PolynomialRing, "_add_col", loop_add_col)
-    monkeypatch.setattr(PolynomialRing, "_col_block", loop_col_block)
-    monkeypatch.setattr(PolynomialRing, "_reduce_row", EuclideanRing._reduce_row)
+    monkeypatch.setattr(PolynomialRing, "_tableau", lambda self, grid: LoopTableau(self, grid))
     assert outcomes() == packed
     assert {verdict for _, verdict, _ in packed} == {None}
     assert {verdict for _, _, verdict in packed} == {"product"}

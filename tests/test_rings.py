@@ -40,12 +40,11 @@ from edrkit.rings import _format_int, _parse_int, is_prime
 from oracles import (
     CosetQuotientRing,
     LocalNonPrincipalRing,
+    LoopTableau,
     brute_bezout,
     brute_divides,
     brute_unit_set,
     definition_jacobson_radical,
-    loop_add_col,
-    loop_col_block,
     loop_matmul,
     matmul,
     p_add,
@@ -401,6 +400,42 @@ def test_poly_kernels_match_schoolbook_oracles(case):
         assert ring._divmod(ring._mul(x, y), y) == (x, ())
 
 
+# A product packs from length 6 at slots of up to 8 bytes and from a length
+# that grows with the width past them: 7 at 16 bytes, 9 at 32 (the widest a
+# prime PolynomialRing accepts reaches).
+# Each pair of rows is the longest schoolbook product at one width and the
+# shortest packed one; only the packed product reads slots through _read.
+@pytest.mark.parametrize(
+    "p, length, width, packs",
+    [
+        (5, 5, 1, False),
+        (5, 6, 1, True),
+        (65537, 5, 8, False),
+        (65537, 6, 8, True),
+        (4294967311, 6, 16, False),
+        (4294967311, 7, 16, True),
+        (3317044064679887385961813, 8, 32, False),
+        (3317044064679887385961813, 9, 32, True),
+    ],
+)
+def test_multiplication_packs_from_a_length_read_off_the_slot_width(p, length, width, packs, monkeypatch):
+    import edrkit.polynomials as polynomials
+
+    assert _slot((p - 1) ** 2 * length)[0] == width
+    x = tuple(1 + k % (p - 1) for k in range(length))
+    y = (p - 1,) * (length + 3)
+    widths, read = [], polynomials._read
+
+    def spied(total, n, slot, p):
+        widths.append(slot[0])
+        return read(total, n, slot, p)
+
+    monkeypatch.setattr(polynomials, "_read", spied)
+    ring = PolynomialRing(p)
+    assert ring._mul(x, y) == ring._mul(y, x) == p_mul(x, y, p)
+    assert widths == ([width] * 2 if packs else [])
+
+
 # Matrix products: Z sums natively; GF(p)[x] packs whole dot products into
 # slots as wide as they need (p = 2^31 - 1 beyond a few terms and the larger
 # primes always need more than 8 bytes); a quotient reduces its base ring's
@@ -511,11 +546,10 @@ def test_matmul_fills_slots_to_their_bound(p, k, length, width, monkeypatch):
     assert widths == [width]
 
 
-# Column shears: GF(p)[x] packs whole columns of the reducer's tableau into
-# slots as wide as they need (a prime above 2^32 needs more than 8 bytes)
-# and must agree with the per-entry loops.
+# The reducer's tableau: GF(p)[x] keeps every column packed in slots as wide
+# as p needs (a prime above 2^32 needs more than 8 bytes), and it and Z's
+# list of rows must agree with the per-entry loops of oracles.LoopTableau.
 SHEAR_PRIMES = (2, 3, 5, 7, 31, 251, 65537, 4294967311, 2**61 - 1, 3317044064679887385961813)
-LOOP_SHEARS = {"_add_col": loop_add_col, "_col_block": loop_col_block}
 
 
 @st.composite
@@ -527,7 +561,7 @@ def _shear_operands(draw):
         st.integers(1, p - 1).map(lambda c: (c,)),
         st.lists(coeffs, max_size=24).map(p_trim),
     )
-    rows = draw(st.lists(st.lists(entries, min_size=3, max_size=3), max_size=30))
+    rows = draw(st.lists(st.lists(entries, min_size=3, max_size=3), min_size=1, max_size=30))
     for col in draw(st.sets(st.integers(0, 2), max_size=2)):
         for row in rows:
             row[col] = ()
@@ -541,11 +575,11 @@ def _shear_operands(draw):
 @given(_shear_operands())
 def test_polynomial_shear_kernels_match_the_ring_defaults(case):
     ring, rows, i, j, f, t = case
-    for name, arg in (("_add_col", f), ("_col_block", t)):
-        packed, looped = [list(row) for row in rows], [list(row) for row in rows]
-        getattr(ring, name)(packed, i, j, arg)
-        LOOP_SHEARS[name](ring, looped, i, j, arg)
-        assert packed == looped, name
+    for name, arg in (("add_col", f), ("col_block", t)):
+        packed, looped = ring._tableau(rows), LoopTableau(ring, rows)
+        getattr(packed, name)(i, j, arg)
+        getattr(looped, name)(i, j, arg)
+        assert packed.block(0, len(rows), 0, 3) == looped.rows, name
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -560,17 +594,124 @@ def test_polynomial_shear_kernels_match_the_ring_defaults(case):
 def test_integer_shear_kernels_match_the_ring_defaults(rows, order, values):
     ring, (i, j, _) = IntegerRing(), order
     f, t = values[0], ((values[1], values[2]), (values[3], values[4]))
-    for name, arg in (("_add_col", f), ("_col_block", t)):
-        native, looped = [list(row) for row in rows], [list(row) for row in rows]
-        getattr(ring, name)(native, i, j, arg)
-        LOOP_SHEARS[name](ring, looped, i, j, arg)
-        assert native == looped, name
+    for name, arg in (("add_col", f), ("col_block", t)):
+        native, looped = ring._tableau(rows), LoopTableau(ring, rows)
+        getattr(native, name)(i, j, arg)
+        getattr(looped, name)(i, j, arg)
+        assert native.block(0, len(rows), 0, 3) == looped.rows, name
+
+
+# Every operation of the tableau, transposes included, in random sequences:
+# after each step the packed GF(p)[x] tableau and Z's list of rows must hold
+# what the per-entry loops hold, read as a whole grid, entry by entry and as
+# zero tests.
+TABLEAU_PRIMES = (2, 5, 251, 65537, 2**61 - 1, 3317044064679887385961813)
+TABLEAU_OPS = (
+    "add_col", "col_block", "reduce_row", "swap_rows", "swap_cols",
+    "add_row", "row_block", "scale_row", "transpose",
+)  # fmt: skip
+
+
+@st.composite
+def _tableau_programs(draw):
+    """(ring, grid, ops): a Z or GF(p)[x] grid and a sequence of tableau
+    operations valid for the shape the grid has when each one runs."""
+    p = draw(st.sampled_from((None, *TABLEAU_PRIMES)))
+    if p is None:
+        ring, units = IntegerRing(), st.sampled_from((1, -1))
+        entries = st.one_of(st.just(0), st.integers(-5, 5), st.integers(-(2**70), 2**70))
+    else:
+        ring, units = PolynomialRing(p), st.integers(1, p - 1).map(lambda c: (c,))
+        coeffs = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+        entries = st.one_of(
+            st.just(()),
+            st.integers(1, p - 1).map(lambda c: (c,)),
+            st.lists(coeffs, max_size=8).map(p_trim),
+        )
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    grid = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    ops = []
+    for name in draw(st.lists(st.sampled_from(TABLEAU_OPS), min_size=1, max_size=12)):
+        if name == "transpose":
+            ops.append((name,))
+            rows, cols = cols, rows
+            continue
+        if name == "reduce_row":
+            ops.append((name, draw(st.integers(0, min(rows, cols) - 1))))
+            continue
+        n = rows if name in ("swap_rows", "add_row", "row_block", "scale_row") else cols
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if name == "scale_row":
+            ops.append((name, i, draw(units)))
+        elif name.startswith("swap"):
+            ops.append((name, i, j))
+        elif i != j:
+            pair = st.tuples(entries, entries)
+            ops.append((name, i, j, draw(entries if name.startswith("add") else st.tuples(pair, pair))))
+    return ring, grid, ops
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_tableau_programs())
+# Blocks start one slot long (every entry is a constant), so the first shear
+# must grow them to four slots and the row block to eight.
+@example(
+    (
+        PolynomialRing(5),
+        [[(1,), (2,)], [(3,), (4,)]],
+        [
+            ("swap_rows", 1, 1),
+            ("add_col", 0, 1, (1, 2, 3, 4)),
+            ("row_block", 0, 1, (((1,) * 5, ()), ((), (1,)))),
+            ("transpose",),
+            ("reduce_row", 1),
+        ],
+    )
+)
+# Slots must widen: over GF(5) a shear of entries of twenty 4s reaches
+# 4 + 16 * 20 = 324, past one byte; over GF(65537) every product does.
+@example(
+    (
+        PolynomialRing(5),
+        [[(4,) * 20, (4,) * 20], [(4,) * 20, ()]],
+        [("add_col", 0, 1, (4,) * 20), ("col_block", 0, 1, (((4,) * 20, (1,)), ((), (4,) * 20))), ("reduce_row", 1)],
+    )
+)
+@example(
+    (
+        PolynomialRing(65537),
+        [[(65536, 1), (2,)], [(), (65536,) * 3]],
+        [("add_row", 1, 0, (65536, 65536)), ("transpose",), ("scale_row", 0, (3,)), ("reduce_row", 1)],
+    )
+)
+def test_ring_tableaux_match_the_loop_tableau(case):
+    ring, grid, ops = case
+    packed, looped = ring._tableau(grid), LoopTableau(ring, grid)
+    want = looped.rows
+    rows, cols = len(want), len(want[0])
+    for op in ops:
+        name, *args = op
+        if name == "reduce_row" and looped.is_zero(args[0], args[0]):
+            assert packed.is_zero(args[0], args[0])
+            continue
+        getattr(packed, name)(*args)
+        getattr(looped, name)(*args)
+        want = looped.rows
+        rows, cols = len(want), len(want[0])
+        assert packed.block(0, rows, 0, cols) == want, op
+        assert [[packed.entry(i, j) for j in range(cols)] for i in range(rows)] == want, op
+        assert [[packed.is_zero(i, j) for j in range(cols)] for i in range(rows)] == [
+            [x == ring._zero() for x in row] for row in want
+        ], op
+    top, left = rows // 2, cols // 2
+    assert packed.block(top, rows, left, cols) == [row[left:] for row in want[top:]]
+    assert packed.block(0, rows, cols, cols) == [[] for _ in want]
 
 
 # Size reduction of a tableau row: GF(p)[x] finds every quotient of the row
-# in one packed product and applies every shear in another, and must agree
-# with EuclideanRing's per-entry loop, Z's kernel; a prime above 2^32 needs
-# slots wider than 8 bytes.
+# in one packed product and applies each shear as one more, and must agree
+# with the per-entry division and shears of oracles.loop_reduce_row; a
+# prime above 2^32 needs slots wider than 8 bytes.
 REDUCE_ROW_PRIMES = (2, 5, 251, 65537, 4294967311, 2**61 - 1, 3317044064679887385961813)
 
 
@@ -611,20 +752,21 @@ def _row_reduction_operands(draw):
 @example((PolynomialRing(2), [[(1,), ()], [(1,) * 255, (1,)], [(1,) * 255, (1,) * 255]], 1))
 def test_polynomial_row_reduction_matches_the_per_entry_loop(case):
     ring, rows, r = case
-    packed, looped = [list(row) for row in rows], [list(row) for row in rows]
-    ring._reduce_row(packed, r)
-    EuclideanRing._reduce_row(ring, looped, r)
-    assert packed == looped
+    packed, looped = ring._tableau(rows), LoopTableau(ring, rows)
+    packed.reduce_row(r)
+    looped.reduce_row(r)
+    got = packed.block(0, len(rows), 0, len(rows[0]))
+    assert got == looped.rows
     pivot = rows[r][r]
-    assert all(len(x) < len(pivot) for x in packed[r][:r])
+    assert all(len(x) < len(pivot) for x in got[r][:r])
 
 
 @pytest.mark.parametrize(
     "p, struct_slots", [(5, True), (65537, True), (4294967311, False), (2**61 - 1, False)]
 )
 def test_row_reduction_divides_in_one_product_below_the_slot_limit(p, struct_slots, monkeypatch):
-    # the packed kernel never divides entry by entry, with slots struct packs
-    # (up to 8 bytes) and with wider ones
+    # the packed row reduction never divides entry by entry, with slots
+    # struct packs (up to 8 bytes) and with wider ones
     import edrkit.polynomials as polynomials
 
     ring = PolynomialRing(p)
@@ -633,20 +775,23 @@ def test_row_reduction_divides_in_one_product_below_the_slot_limit(p, struct_slo
     monkeypatch.setattr(
         PolynomialRing, "_divmod", lambda self, x, d: divisions.append(d) or p_divmod(x, d, self.p)
     )
-    looped = [list(row) for row in rows]
-    EuclideanRing._reduce_row(ring, looped, 2)
+    looped = LoopTableau(ring, rows)
+    looped.reduce_row(2)
     expected, divisions[:] = len(divisions), []
-    codes, read = [], polynomials._read
+    codes, inverses = [], []
+    residues, inverse = polynomials._residues, polynomials._series_inverse
 
-    def spied(total, n, slot, p):
+    def spied(data, slot, p):
         codes.append(slot[1])
-        return read(total, n, slot, p)
+        return residues(data, slot, p)
 
-    monkeypatch.setattr(polynomials, "_read", spied)
-    ring._reduce_row(rows, 2)
-    assert rows == looped and expected == 2
-    # two products: the quotients, then the shears
-    assert divisions == [] and len(codes) == 2
+    monkeypatch.setattr(polynomials, "_residues", spied)
+    monkeypatch.setattr(polynomials, "_series_inverse", lambda c, m, p: inverses.append(c) or inverse(c, m, p))
+    packed = ring._tableau(rows)
+    packed.reduce_row(2)
+    assert packed.block(0, 3, 0, 3) == looped.rows and expected == 2
+    # one product, with one power-series inverse, for both quotients
+    assert divisions == [] and len(inverses) == 1
     assert {code is not None for code in codes} == {struct_slots}
 
 
@@ -660,10 +805,17 @@ def test_division_by_a_unit_matches_the_schoolbook_loop(p, data):
     assert ring._divmod(x, d) == p_divmod(x, d, p)
 
 
-# Every coefficient is p - 1, so the slots reach the kernels' bounds: x + f*y
-# reaches (p - 1) + (p - 1)^2 * length and x*t00 + y*t10 reaches
-# 2 (p - 1)^2 * length.  Each pair of rows is the largest case at one width
-# and the least at the next.
+# Every coefficient is p - 1, so the slots reach the bound of a shear
+# x + f*y, (p - 1) + (p - 1)^2 * min(len f, longest y), and col_block's
+# sum x*t00 + y*t10 reaches (p - 1) + 2 (p - 1)^2 * length in one pass.
+# Where one byte holds p - 1 (here p = 2 and 5), col_block takes a pass per
+# term rather than widen the slots for the sum, so its rows hold entries
+# of twice the length there, which one pass per term fits in the same
+# width.  Each pair of rows is the largest case at one width and the least
+# at the next.  The factors are twice as long as the tableau's one row of
+# entries, so the blocks, which start with room for the product of two
+# entries, must grow to exactly the length of the factor's product with an
+# entry: one slot short, that product would not fit in the column.
 @pytest.mark.parametrize(
     "name, p, length, width",
     [
@@ -690,28 +842,58 @@ def test_shear_kernels_fill_slots_to_their_bound(name, p, length, width, monkeyp
     import edrkit.polynomials as polynomials
 
     ring = PolynomialRing(p)
-    entry = (p - 1,) * length
-    if name == "_add_col":
-        bound, arg = (p - 1) + (p - 1) ** 2 * length, entry
-    else:
-        bound, arg = 2 * (p - 1) ** 2 * length, ((entry, entry), (entry, entry))
-    assert _slot(bound)[0] == width
-    widths, unpack = [], polynomials._unpack_column
+    terms = 1
+    if name == "_col_block" and _slot(p - 1)[0] > 1:
+        terms = 2
+    elif name == "_col_block":
+        length *= 2
+    entry, factor = (p - 1,) * length, (p - 1,) * 2 * length
+    arg = factor if name == "_add_col" else ((factor, factor), (factor, factor))
+    assert _slot(p - 1 + terms * (p - 1) ** 2 * length)[0] == width
+    rows = [[entry, entry, ()]]
+    looped = LoopTableau(ring, rows)
+    getattr(looped, name[1:])(0, 1, arg)
+    widths, residues = [], polynomials._residues
 
-    def spied(total, count, size, slot, p):
+    def spied(data, slot, p):
         widths.append(slot[0])
-        return unpack(total, count, size, slot, p)
+        return residues(data, slot, p)
 
-    monkeypatch.setattr(polynomials, "_unpack_column", spied)
-    rows = [[entry, entry, ()], [(), entry, entry], [entry, (), entry]]
-    packed, looped = [list(row) for row in rows], [list(row) for row in rows]
-    LOOP_SHEARS[name](ring, looped, 0, 1, arg)
+    monkeypatch.setattr(polynomials, "_residues", spied)
     # the packed shear never adds or multiplies entry by entry
     monkeypatch.setattr(PolynomialRing, "_mul", None)
     monkeypatch.setattr(PolynomialRing, "_add", None)
-    getattr(ring, name)(packed, 0, 1, arg)
-    assert packed == looped
+    packed = ring._tableau(rows)
+    assert packed.size == 2 * length - 1
+    getattr(packed, name[1:])(0, 1, arg)
+    assert packed.block(0, 1, 0, 3) == looped.rows
+    assert packed.size == 3 * length - 1
     assert set(widths) == {width}
+
+
+@pytest.mark.parametrize("long_x, passes", [(126, 1), (127, 2)])
+def test_col_block_takes_a_pass_per_term_rather_than_widen_one_byte_slots(long_x, passes, monkeypatch):
+    # over GF(2), x*t00 + y*t10 with x, y and t all ones reaches
+    # 1 + long_x + 128: one byte holds the sum up to long_x = 126, and from
+    # 127 on each term takes its own 1-byte pass
+    import edrkit.polynomials as polynomials
+
+    ring, ones = PolynomialRing(2), (1,) * 128
+    rows = [[(1,) * long_x, ones], [(), (1,)]]
+    t = ((ones, ones), (ones, ones))
+    looped = LoopTableau(ring, rows)
+    looped.col_block(0, 1, t)
+    widths, residues = [], polynomials._residues
+
+    def spied(data, slot, p):
+        widths.append(slot[0])
+        return residues(data, slot, p)
+
+    monkeypatch.setattr(polynomials, "_residues", spied)
+    packed = ring._tableau(rows)
+    packed.col_block(0, 1, t)
+    assert packed.block(0, 2, 0, 2) == looped.rows
+    assert widths == [1] * 2 * passes
 
 
 @pytest.mark.parametrize("m, k, n", [(0, 0, 0), (2, 0, 3), (0, 2, 3), (2, 3, 0), (2, 3, 4)])

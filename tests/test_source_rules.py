@@ -65,31 +65,54 @@ def test_producer_never_calls_the_verifiers_kernels():
 
 
 def test_verifier_never_calls_the_producers_kernels():
-    # the reducer's column shears, its row kernel and its normalizer live in
-    # the ring layer beside the verifier's kernels, so the verifier must never
-    # reach for them
+    # the reducer's tableau (every operation of it) and its normalizer live
+    # in the ring layer beside the verifier's kernels, so the verifier must
+    # never reach for them
+    from edrkit.rings import Tableau
+
     path = SRC / "verification.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    producer = {"_tableau", "_normalizer", *Tableau.__abstractmethods__}
     found = [
         f"verification.py:{node.lineno} {node.attr}"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        and node.attr in {"_add_col", "_col_block", "_reduce_row", "_normalizer"}
+        if isinstance(node, ast.Attribute) and node.attr in producer
     ]
     assert found == []
 
 
 def test_producer_divides_only_through_the_row_kernel():
-    # size reduction is the ring's _reduce_row, which over GF(p)[x] finds a
-    # whole row's quotients in one product; a per-entry _divmod in the
+    # size reduction is the tableau's reduce_row, which over GF(p)[x] finds
+    # a whole row's quotients in one product; a per-entry _divmod in the
     # reducer would be that loop again beside the kernel
     path = SRC / "reduction.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    found = [
-        f"reduction.py:{node.lineno} {node.attr}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "_divmod"
-    ]
+    attrs = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    found = [f"reduction.py:{node.lineno} {node.attr}" for node in attrs if node.attr == "_divmod"]
+    assert found == []
+    assert any(node.attr == "reduce_row" for node in attrs)
+
+
+def test_producer_reads_the_tableau_only_through_its_operations():
+    # the ring lays the tableau out (a list of rows on Z, packed columns on
+    # GF(p)[x]), so the reducer reads an entry only through the tableau's
+    # entry and is_zero: it subscripts no grid twice (a[j][i]) and reaches
+    # no attribute of the tableau but its operations
+    from edrkit.rings import Tableau
+
+    path = SRC / "reduction.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Subscript):
+            found.append(f"reduction.py:{node.lineno} {ast.unparse(node)}")
+        elif isinstance(node, ast.Attribute):
+            owner = node.value
+            on_tableau = (isinstance(owner, ast.Name) and owner.id == "tab") or (
+                isinstance(owner, ast.Attribute) and owner.attr == "tab"
+            )
+            if node.attr == "a" or (on_tableau and node.attr not in Tableau.__abstractmethods__):
+                found.append(f"reduction.py:{node.lineno} .{node.attr}")
     assert found == []
 
 
@@ -122,10 +145,13 @@ def test_producer_and_verifier_stay_on_the_payload_grid():
 
 
 def test_ring_kernels_have_one_path_per_carrier():
-    # GF(p)[x]'s packed kernels take slots of any width, so none falls back
-    # to an inherited per-entry loop, and Ring and EuclideanRing hold no such
-    # loop to fall back to: the loops are test oracles (tests/oracles.py)
-    kernels = {"_matmul", "_add_col", "_col_block", "_reduce_row", "_bareiss_rows"}
+    # GF(p)[x]'s packed kernels and tableau take slots of any width, so none
+    # falls back to an inherited per-entry loop or to Z's list of rows, and
+    # Ring and EuclideanRing hold no such loop to fall back to: the loops are
+    # test oracles (tests/oracles.py).  Each carrier has one tableau.
+    from edrkit.rings import Tableau
+
+    kernels = {"_matmul", "_tableau", "_bareiss_rows"}
 
     def tree(name):
         path = SRC / name
@@ -135,19 +161,33 @@ def test_ring_kernels_have_one_path_per_carrier():
         f"polynomials.py:{node.lineno} super().{node.attr}"
         for node in ast.walk(tree("polynomials.py"))
         if isinstance(node, ast.Attribute)
-        and node.attr in kernels
         and isinstance(node.value, ast.Call)
         and isinstance(node.value.func, ast.Name)
         and node.value.func.id == "super"
+        and node.attr in kernels | Tableau.__abstractmethods__
+    ]
+    found += [
+        f"polynomials.py:{node.lineno} RowTableau"
+        for node in ast.walk(tree("polynomials.py"))
+        if isinstance(node, ast.Name) and node.id == "RowTableau"
     ]
     classes = {node.name: node for node in tree("rings.py").body if isinstance(node, ast.ClassDef)}
     for cls in ("Ring", "EuclideanRing"):
         for node in classes[cls].body:
-            if not isinstance(node, ast.FunctionDef) or node.name not in kernels - {"_reduce_row"}:
+            if not isinstance(node, ast.FunctionDef) or node.name not in kernels:
                 continue
             abstract = any(isinstance(d, ast.Name) and d.id == "abstractmethod" for d in node.decorator_list)
             body = node.body[1:] if ast.get_docstring(node) is not None else node.body
             empty = all(isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant) for s in body)
             if not (abstract and empty):
                 found.append(f"rings.py:{node.lineno} {cls}.{node.name}")
+    tableaux = {
+        f"{name}:{cls.name}"
+        for name in ("rings.py", "polynomials.py")
+        for cls in tree(name).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_tableau" and cls.name != "EuclideanRing"
+    }
     assert found == []
+    assert tableaux == {"rings.py:IntegerRing", "polynomials.py:PolynomialRing"}

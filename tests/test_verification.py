@@ -23,11 +23,11 @@ from edrkit.matrices import from_payload_grid
 from edrkit.rings import EuclideanQuotientRing, ProductRing, Ring
 
 from oracles import (
+    LoopTableau,
     berkowitz_determinant,
     laplace_determinant,
     loop_add_col,
     loop_bareiss_rows,
-    loop_col_block,
     loop_matmul,
 )
 
@@ -200,8 +200,8 @@ def _tampered(ring, a, cert):
 @pytest.mark.parametrize("ring", [Z, PolynomialRing(2), PolynomialRing(3), G5], ids=str)
 def test_verdicts_are_identical_under_generic_kernels(ring, monkeypatch):
     # the carriers' own kernels (Z's native matrix product, Bareiss rows,
-    # shears, subtraction and exact division; GF(p)[x]'s packed matrix
-    # product, Bareiss rows and shears) must not change a single
+    # tableau, subtraction and exact division; GF(p)[x]'s packed matrix
+    # product, Bareiss rows and tableau) must not change a single
     # certificate or verdict
     def outcomes():
         rng = random.Random(f"generic-kernels/{ring}")
@@ -215,8 +215,7 @@ def test_verdicts_are_identical_under_generic_kernels(ring, monkeypatch):
     assert [verdict for _, _, verdict in fast] == [clause for _, clause, _ in fast]
     for carrier in (IntegerRing, PolynomialRing):
         monkeypatch.setattr(carrier, "_matmul", loop_matmul)
-        monkeypatch.setattr(carrier, "_add_col", loop_add_col)
-        monkeypatch.setattr(carrier, "_col_block", loop_col_block)
+        monkeypatch.setattr(carrier, "_tableau", lambda self, grid: LoopTableau(self, grid))
         monkeypatch.setattr(carrier, "_bareiss_rows", loop_bareiss_rows)
         monkeypatch.setattr(carrier, "_sub", Ring._sub)
         monkeypatch.setattr(carrier, "_divides", EuclideanRing._divides)
