@@ -152,8 +152,9 @@ def _length(block: bytes, width: int) -> int:
 def _blocks(data: bytes, span: int) -> tuple:
     """data cut into blocks of span bytes."""
     # one format field per block, as a tableau has few rows: two to three
-    # times as fast as iter_unpack on a column of 6 to 28 blocks; struct
-    # keeps at most 100 compiled formats
+    # times as fast as iter_unpack on a column of 6 to 28 blocks, and twice
+    # as fast as slicing 60 slots of 16 bytes one at a time; struct keeps
+    # at most 100 compiled formats
     return struct.unpack(f"{span}s" * (len(data) // span), data)
 
 
@@ -192,11 +193,7 @@ def _residues(data: bytes, slot: tuple[int, str | None], p: int):
         return data.translate(_mod_table(p))
     if code:
         return [c % p for c in struct.unpack(f"<{len(data) // width}{code}", data)]
-    if width == 16:
-        # two 8-byte halves per slot: a third faster than int.from_bytes
-        halves = struct.unpack(f"<{len(data) // 8}Q", data)
-        return [(low | high << 64) % p for low, high in zip(halves[::2], halves[1::2])]
-    return [int.from_bytes(data[k : k + width], "little") % p for k in range(0, len(data), width)]
+    return [int.from_bytes(s, "little") % p for s in _blocks(data, width)]
 
 
 def _read(total: int, n: int, slot: tuple[int, str | None], p: int):
@@ -329,16 +326,11 @@ class _PackedTableau(Tableau):
 
     def _shears(self, xs: list, fss: list, ys: list, longest: list) -> list:
         """x + the sum of f * y over fs and ys, for each x of xs and fs of
-        fss, each slot reduced mod p: xs (or b"") and ys are stored columns,
-        and the entries of ys[t] are no longer than longest[t].  One pass
-        sums every term, unless its sum would need slots past self.slot and
-        each term alone would not: then each term takes a pass."""
+        fss, each slot reduced mod p, in one pass: xs (or b"") and ys are
+        stored columns, and the entries of ys[t] are no longer than
+        longest[t]."""
         p = self.p
         bounds = [(p - 1) ** 2 * min(max(len(fs[t]) for fs in fss), longest[t]) for t in range(len(ys))]
-        if p - 1 + sum(bounds) >= self.capacity > p - 1 + max(bounds):
-            for t, y in enumerate(ys):
-                xs = self._pass(xs, [fs[t : t + 1] for fs in fss], [y], p - 1 + bounds[t])
-            return xs
         return self._pass(xs, fss, ys, p - 1 + sum(bounds))
 
     def _pass(self, xs: list, fss: list, ys: list, bound: int) -> list:

@@ -808,11 +808,8 @@ def test_division_by_a_unit_matches_the_schoolbook_loop(p, data):
 # Every coefficient is p - 1, so the slots reach the bound of a shear
 # x + f*y, (p - 1) + (p - 1)^2 * min(len f, longest y), and col_block's
 # sum x*t00 + y*t10 reaches (p - 1) + 2 (p - 1)^2 * length in one pass.
-# Where one byte holds p - 1 (here p = 2 and 5), col_block takes a pass per
-# term rather than widen the slots for the sum, so its rows hold entries
-# of twice the length there, which one pass per term fits in the same
-# width.  Each pair of rows is the largest case at one width and the least
-# at the next.  The factors are twice as long as the tableau's one row of
+# Each pair of rows is the largest case at one width and the least at the
+# next.  The factors are twice as long as the tableau's one row of
 # entries, so the blocks, which start with room for the product of two
 # entries, must grow to exactly the length of the factor's product with an
 # entry: one slot short, that product would not fit in the column.
@@ -842,11 +839,7 @@ def test_shear_kernels_fill_slots_to_their_bound(name, p, length, width, monkeyp
     import edrkit.polynomials as polynomials
 
     ring = PolynomialRing(p)
-    terms = 1
-    if name == "_col_block" and _slot(p - 1)[0] > 1:
-        terms = 2
-    elif name == "_col_block":
-        length *= 2
+    terms = 1 if name == "_add_col" else 2
     entry, factor = (p - 1,) * length, (p - 1,) * 2 * length
     arg = factor if name == "_add_col" else ((factor, factor), (factor, factor))
     assert _slot(p - 1 + terms * (p - 1) ** 2 * length)[0] == width
@@ -869,31 +862,6 @@ def test_shear_kernels_fill_slots_to_their_bound(name, p, length, width, monkeyp
     assert packed.block(0, 1, 0, 3) == looped.rows
     assert packed.size == 3 * length - 1
     assert set(widths) == {width}
-
-
-@pytest.mark.parametrize("long_x, passes", [(126, 1), (127, 2)])
-def test_col_block_takes_a_pass_per_term_rather_than_widen_one_byte_slots(long_x, passes, monkeypatch):
-    # over GF(2), x*t00 + y*t10 with x, y and t all ones reaches
-    # 1 + long_x + 128: one byte holds the sum up to long_x = 126, and from
-    # 127 on each term takes its own 1-byte pass
-    import edrkit.polynomials as polynomials
-
-    ring, ones = PolynomialRing(2), (1,) * 128
-    rows = [[(1,) * long_x, ones], [(), (1,)]]
-    t = ((ones, ones), (ones, ones))
-    looped = LoopTableau(ring, rows)
-    looped.col_block(0, 1, t)
-    widths, residues = [], polynomials._residues
-
-    def spied(data, slot, p):
-        widths.append(slot[0])
-        return residues(data, slot, p)
-
-    monkeypatch.setattr(polynomials, "_residues", spied)
-    packed = ring._tableau(rows)
-    packed.col_block(0, 1, t)
-    assert packed.block(0, 2, 0, 2) == looped.rows
-    assert widths == [1] * 2 * passes
 
 
 @pytest.mark.parametrize("m, k, n", [(0, 0, 0), (2, 0, 3), (0, 2, 3), (2, 3, 0), (2, 3, 4)])
