@@ -6,7 +6,7 @@ and the first access to an exported name imports the module that defines
 it, so a process pays only for the layers it uses.
 """
 
-from importlib import import_module
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
@@ -103,7 +103,7 @@ def __getattr__(name: str):
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
+    value = getattr(_import_module(f".{module}", __name__), name)
     globals()[name] = value
     return value
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 
 # Exhaustive checks refuse rings above these cardinalities unless the caller
-# raises the bound; the triple-quantifier sweeps grow like |R|^5.
+# raises the bound; the stable-range-2 sweep grows like |R|^5.
 DEFAULT_PAIR_BOUND = 50
 DEFAULT_TRIPLE_BOUND = 16
 

@@ -6,8 +6,8 @@ expansion and from Berkowitz's division-free algorithm, polynomial
 arithmetic, matrix products, the ring kernels (_matmul, _bareiss_rows) and
 the reducer's tableau (LoopTableau) from per-entry loops, Hermite completions from
 brute force over invertible 2x2 matrices, units, quotients, ideals,
-Jacobson radicals and gcd certificates of finite rings from exhaustive
-search, primality from trial division.
+Jacobson radicals, diadems and gcd certificates of finite rings from
+exhaustive search, primality from trial division.
 """
 
 import math
@@ -396,6 +396,9 @@ class ExhaustiveRing(Ring):
             raise UnsupportedRingError(f"aR + bR is not principal in {self.spec()}")
         return got
 
+    def _quotient(self, x):
+        return CosetQuotientRing(self, RingElement(self, x))
+
 
 class LocalNonPrincipalRing(ExhaustiveRing):
     """GF(2)[x,y]/(x,y)^2: payload (c0, c1, c2) is c0 + c1*x + c2*y.
@@ -588,6 +591,21 @@ def definition_jacobson_radical(ring):
     return frozenset(
         x for x in elems if all(ring._sub(one, ring._mul(x, r)) in units for r in elems)
     )
+
+
+def definition_is_diadem(ring, w):
+    """Whether w is a diadem of a finite ring, from the definition: for all
+    (c, d) with (w, c, d) comaximal there is m with (w, c + d*m) comaximal."""
+    elems = ring._payloads
+    for c in elems:
+        for d in elems:
+            if not ring._ideal_has_one((w, c, d)):
+                continue
+            if not any(
+                ring._ideal_has_one((w, ring._add(c, ring._mul(d, m)))) for m in elems
+            ):
+                return False
+    return True
 
 
 def first_generator_radical_quotient(ring):

@@ -1,4 +1,6 @@
+import functools
 import gc
+import io
 import math
 import random
 import time
@@ -41,13 +43,15 @@ from edrkit import (
     ring_parse,
     verify_associate_diadems,
 )
-from edrkit.finite_lab import CHECKERS
+from edrkit.cli import main
+from edrkit.finite_lab import CHECKERS, _is_diadem_payload
 
 from oracles import (
     LocalNonPrincipalRing,
     brute_coprime_splitting,
     brute_hermite_pair,
     brute_ideal_span,
+    definition_is_diadem,
     first_generator_radical_quotient,
 )
 
@@ -346,17 +350,15 @@ def test_diadem_memos_do_not_keep_rings_alive():
 
 def test_ring_memo_keeps_only_the_diadem_helpers():
     # ideals are answered by divisibility, so no checker leaves a payload-set
-    # ideal (or a quotient table) on the ring once it returns
-    diadem_memos = {"_is_diadem_payload", "_quotient_has_stable_range_1"}
+    # ideal (or a quotient table) on the ring once it returns: the one memo
+    # is the diadem verdicts, which every diadem path shares
     for ring in (IntegerModRing(12), ring_parse("Z/4 x GF(3)[x]/(1,0,1)")):
         for checker in CHECKERS.values():
             checker(ring, bound=None)
         verify_associate_diadems(ring, bound=None)
         ideal_generated(ring, [ring.element(ring._payloads[2]), ring.element(ring._payloads[3])])
         jacobson_radical(ring)
-        assert ring._memo, ring.spec()
-        assert all(callable(key) for key in ring._memo), ring.spec()
-        assert {key.__name__ for key in ring._memo} <= diadem_memos, ring.spec()
+        assert [key.__name__ for key in ring._memo] == ["_is_diadem_payload"], ring.spec()
 
 
 def test_is_diadem_via_quotient_examples():
@@ -382,14 +384,40 @@ def test_is_diadem_via_quotient_memo_stays_empty_on_integers():
 
 def test_quotient_criterion_matches_direct_definition():
     for ring in (IntegerModRing(8), IntegerModRing(12), ring_parse("Z/2 x Z/3")):
+        definition = functools.cache(functools.partial(definition_is_diadem, ring))
         for a in ring.elements():
             for b in ring.elements():
                 if not is_comaximal(ring, (a, b)):
                     continue
                 for lam in ring.elements():
-                    assert is_diadem_direct(ring, a, b, lam, bound=None) == (
+                    assert definition((a + b * lam).payload) == (
                         is_diadem_via_quotient(ring, a, b, lam)
                     )
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(_small_rings(limit=24))
+@example(LocalNonPrincipalRing())  # not principal: its quotients are coset rings
+def test_diadems_through_the_quotient_match_the_definition(ring):
+    for w in ring._payloads:
+        assert _is_diadem_payload(ring, w) == definition_is_diadem(ring, w), (ring.spec(), w)
+
+
+def test_diadems_of_a_large_ring_never_enumerate_it(no_enumeration):
+    # R/2R is Z/2 for the even modulus, so w = 2 is decided on two elements
+    ring = ring_parse("Z/2000000000078")
+    a, b, zero = ring.element(2), ring.element(3), ring.zero
+    w = find_diadem(ring, a, b)
+    assert (w.multiplier, w.diadem, w.evidence) == (
+        zero,
+        a,
+        DiademEvidence.EXHAUSTIVE_DEFINITION,
+    )
+    assert is_diadem_via_quotient(ring, a, b, zero)
+    assert is_diadem_direct(ring, a, b, zero, bound=None)
+    out = io.StringIO()
+    assert main(["diadem", "Z/2000000000078", "2", "3"], out=out) == 0
+    assert out.getvalue() == "# edr-kit v1\nmultiplier=0 diadem=2 evidence=exhaustive\n"
 
 
 def test_find_diadem_over_integers():

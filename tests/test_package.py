@@ -1,7 +1,9 @@
 """The public surface of the lazily loaded edrkit package."""
 
 import ast
+import os
 import pickle
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,6 +47,15 @@ def test_star_import_and_dir_list_the_exports():
     assert set(namespace) - {"__builtins__"} == EXPORTS
     assert set(edrkit.__all__) == EXPORTS
     assert EXPORTS <= set(dir(edrkit))
+
+
+def test_a_fresh_dir_lists_no_public_name_outside_all():
+    code = "import edrkit; print(*dir(edrkit))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    listed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout.split()
+    assert {name for name in listed if not name.startswith("_")} == EXPORTS
 
 
 def test_unknown_names_raise_attribute_error():

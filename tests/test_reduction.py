@@ -520,8 +520,8 @@ def _size_reduction_corpus():
 
 
 def test_snf_certificates_match_pinned_size_reduction_digest():
-    # the row kernel _reduce_row must leave every shear, and so P, D and Q,
-    # as the per-entry division and column shears made them
+    # the row kernel Tableau.reduce_row must leave every shear, and so P, D
+    # and Q, as the per-entry division and column shears made them
     digest = hashlib.sha256()
     for ring, grid in _size_reduction_corpus():
         cert = smith_normal_form(ring, Matrix.from_rows(ring, grid))
