@@ -143,7 +143,7 @@ def _cmd_diadem(args, out) -> int:
     if not finite_lab.is_comaximal(ring, (a, b)):
         print("pair not comaximal", file=sys.stderr)
         return EXIT_NEGATIVE
-    witness = finite_lab.find_diadem(ring, a, b)
+    witness = finite_lab.find_diadem(ring, a, b, args.bound)
     if witness.evidence is finite_lab.DiademEvidence.QUOTIENT_STABLE_RANGE_1:
         # spot-certify the quotient criterion when the quotient is small
         small = quotient_ring(ring, witness.diadem).cardinality <= args.bound

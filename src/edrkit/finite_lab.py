@@ -380,7 +380,9 @@ def is_diadem_via_quotient(
     return check_stable_range_1(quotient_ring(ring, RingElement(ring, w)), bound=bound).holds
 
 
-def find_diadem(ring: Ring, a: RingElement, b: RingElement) -> DiademWitness:
+def find_diadem(
+    ring: Ring, a: RingElement, b: RingElement, bound: int | None = None
+) -> DiademWitness:
     """First multiplier (in canonical order) whose combination a + b*t is a
     diadem of the comaximal pair (a, b).
 
@@ -389,7 +391,8 @@ def find_diadem(ring: Ring, a: RingElement, b: RingElement) -> DiademWitness:
     quotient, which has stable range 1.  Over GF(p)[x] the canonical
     enumeration plays the same role.  On finite rings each candidate is
     certified by the definition, evaluated exhaustively as the
-    stable-range-1 sweep of R/wR.
+    stable-range-1 sweep of R/wR; an R/wR of more than bound elements
+    (None lifts the guard) raises CardinalityBoundError before it is swept.
     """
     ring._check(a)
     ring._check(b)
@@ -400,12 +403,15 @@ def find_diadem(ring: Ring, a: RingElement, b: RingElement) -> DiademWitness:
         w = ring._add(a.payload, ring._mul(b.payload, t))
         if ring._is_unit(w):
             evidence = DiademEvidence.TRIVIAL_UNIT
-        elif ring.finite and _is_diadem_payload(ring, w):
-            evidence = DiademEvidence.EXHAUSTIVE_DEFINITION
-        elif not ring.finite and w != zero:
+        elif not ring.finite:
+            if w == zero:
+                continue
             evidence = DiademEvidence.QUOTIENT_STABLE_RANGE_1
         else:
-            continue
+            _require_finite(quotient_ring(ring, RingElement(ring, w)), bound)
+            if not _is_diadem_payload(ring, w):
+                continue
+            evidence = DiademEvidence.EXHAUSTIVE_DEFINITION
         return DiademWitness(a, b, RingElement(ring, t), RingElement(ring, w), evidence)
     raise ValueError("diadem search exhausted")  # unreachable: finite commutative
 

@@ -10,7 +10,12 @@ long enough (_packs: 6 coefficients at slots of up to 8 bytes, more past
 them): the coefficients are packed into slots of one integer per operand,
 and one integer product is unpacked and reduced modulo p.  Shorter operands
 take the schoolbook loop.  A slot is as wide as its bound needs, for any p,
-so every kernel below has one path.  A matrix product (_matmul) sums each
+so every kernel below has one path.  Slots of w bytes are reduced mod p
+with no loop per slot while w (p - 1) fits a byte (_residues: one
+bytes.translate per byte plane, every width up to 63 bytes at p = 5), and
+one at a time past that.  The extended gcd (_ext_gcd) runs the Euclidean
+loop on packed rows (r, s, t) of its remainder table: one product and one
+reduction per step.  A matrix product (_matmul) sums each
 dot product over entries packed once into such slots.  The reducer's
 tableau (_PackedTableau) keeps every column as one packed byte string for
 a whole Hermite pass, each coefficient reduced mod p: a column shear is one
@@ -61,7 +66,8 @@ def _poly_trim(coeffs) -> tuple:
 # A slot must hold (p - 1)^2 times the shorter operand's length.  Slots are
 # a power of two bytes wide: 1-byte slots pack with bytes() and are reduced
 # mod p by one bytes.translate, 2-, 4- and 8-byte slots pack with struct,
-# and wider ones (p above about 2^32) with int.to_bytes and int.from_bytes.
+# and wider ones (p above about 2^32) with int.to_bytes and int.from_bytes;
+# _residues reduces any width by byte planes while its sums fit a byte.
 # A whole column packs the same way, one block of equal length per entry
 # (_pack_column): blocks long enough for every product leave each block of
 # the result column its own entry.
@@ -160,8 +166,14 @@ def _blocks(data: bytes, span: int) -> tuple:
 
 def _longest(data: bytes, span: int, width: int) -> int:
     """The length of the longest payload held by data's blocks of span bytes."""
-    stripped = map(bytes.rstrip, _blocks(data, span), itertools.repeat(b"\0"))
-    return -(-max(map(len, stripped), default=0) // width)
+    # OR the upper half of the blocks into the lower half until one block
+    # is left: its top nonzero byte is the top of the longest payload
+    folded, count, bits = int.from_bytes(data, "little"), len(data) // span, 8 * span
+    while count > 1:
+        cut = bits * (count - count // 2)
+        folded = folded & ((1 << cut) - 1) | folded >> cut
+        count -= count // 2
+    return -(-folded.bit_length() // (8 * width))
 
 
 def _cut(data: bytes, span: int, part: int) -> bytes:
@@ -186,19 +198,42 @@ def _mod_table(p: int) -> bytes:
     return bytes(c % p for c in range(256))
 
 
+@cache
+def _plane_tables(p: int, width: int) -> tuple:
+    """bytes.translate tables, one per byte k of a width-byte slot, taking
+    each byte c to c * 256^k mod p.  _residues asks only while
+    width * (p - 1) fits a byte, so the cache holds few keys."""
+    return tuple(bytes(c * pow(256, k, p) % p for c in range(256)) for k in range(width))
+
+
 def _residues(data: bytes, slot: tuple[int, str | None], p: int):
-    """data's slots, each reduced mod p: bytes for 1-byte slots, else a list."""
+    """data's slots, each reduced mod p: bytes (one per slot) when
+    width * (p - 1) fits a byte, else a list.
+
+    A slot of width w holds the sum over k of byte k times 256^k, so its
+    residue is that of the sum of its bytes, each taken to c * 256^k mod p.
+    Byte k of every slot is one extended slice, mapped by one translate;
+    the w planes, added as little-endian ints, carry nothing while
+    w * (p - 1) fits a byte, and one more translate reduces the sums.
+    Larger sums are reduced one slot at a time."""
     width, code = slot
     if width == 1:
         return data.translate(_mod_table(p))
+    if width * (p - 1) < 256:
+        n = len(data) // width
+        total = sum(
+            int.from_bytes(data[k::width].translate(table), "little")
+            for k, table in enumerate(_plane_tables(p, width))
+        )
+        return total.to_bytes(n, "little").translate(_mod_table(p))
     if code:
         return [c % p for c in struct.unpack(f"<{len(data) // width}{code}", data)]
     return [int.from_bytes(s, "little") % p for s in _blocks(data, width)]
 
 
 def _read(total: int, n: int, slot: tuple[int, str | None], p: int):
-    """The first n slots of total, each reduced mod p: bytes for 1-byte
-    slots, else a list."""
+    """The first n slots of total, each reduced mod p, as _residues gives
+    them."""
     return _residues(total.to_bytes(n * slot[0], "little"), slot, p)
 
 
@@ -206,7 +241,7 @@ def _unpack_column(total: int, count: int, size: int, slot: tuple[int, str | Non
     """The count GF(p)[x] payloads held in blocks of size slots by total."""
     end = count * size
     coeffs = _read(total, end, slot, p)
-    if slot[0] == 1:
+    if isinstance(coeffs, bytes):
         # cut the blocks and trim their zero bytes; iter_unpack keeps one
         # short format, where a format of count codes would leave a large
         # compiled struct in struct's cache per count
@@ -215,25 +250,15 @@ def _unpack_column(total: int, count: int, size: int, slot: tuple[int, str | Non
     return [_poly_trim(coeffs[k : k + size]) for k in range(0, end, size)]
 
 
-def _reduce_blocks(data: bytes, size: int, slot: tuple[int, str | None], p: int, stored, span: int) -> bytes:
-    """data's blocks of size slots, each slot reduced mod p, in blocks of
-    span bytes of stored slots.  Slots past 1 byte are reduced one at a
-    time, so each block is read only below its zero top."""
-    width, zero = slot[0], bytes(span)
-    out = []
-    for block in _blocks(data, size * width):
-        block = block[: _length(block, width) * width]
-        out.append(_encode(_residues(block, slot, p), stored).ljust(span, b"\0") if block else zero)
-    return b"".join(out)
-
-
 def _series_inverse(c: tuple, m: int, p: int) -> tuple:
     """The GF(p)[x] payload of c^-1 mod x^m, for c with c(0) != 0."""
     inv0 = pow(c[0], -1, p)
+    tail = c[1:]
     out = [inv0]
-    for r in range(1, m):
-        acc = sum(c[u] * out[r - u] for u in range(1, min(r + 1, len(c))))
-        out.append(-acc * inv0 % p)
+    if tail:  # else every later coefficient is 0
+        for _ in range(1, m):
+            # coefficient r is -(c[1] out[r - 1] + c[2] out[r - 2] + ...) / c[0]
+            out.append(-sum(map(operator.mul, tail, reversed(out))) * inv0 % p)
     return _poly_trim(out)
 
 
@@ -336,13 +361,13 @@ class _PackedTableau(Tableau):
     def _pass(self, xs: list, fss: list, ys: list, bound: int) -> list:
         """_shears in one product per x, with slots that hold bound.  Past
         self.slot, the columns are cut to blocks just long enough for their
-        entries and the products, and spread into slots that wide: such
-        slots are reduced one at a time, so every slot saved counts."""
-        p, stored, size = self.p, self.slot, self.size
+        entries and the products, and spread into slots that wide; the
+        residues, in stored slots, are padded back to blocks of self.span
+        bytes."""
+        p, stored, size, span = self.p, self.slot, self.size, self.span
         slot = stored if bound < self.capacity else _slot(bound)
         width, narrow = slot[0], stored[0]
         if width != narrow:
-            span = self.span
             longest_f = max(len(f) for fs in fss for f in fs)
             size = max(
                 1,
@@ -358,10 +383,12 @@ class _PackedTableau(Tableau):
             total = int.from_bytes(x, "little")
             for f, y in zip(fs, ys):
                 total += _pack(f, slot) * y
-            if width == 1:
-                out.append(_read(total, n, slot, p))
-            else:
-                out.append(_reduce_blocks(total.to_bytes(n * width, "little"), size, slot, p, stored, self.span))
+            coeffs = _read(total, n, slot, p)
+            if not isinstance(coeffs, bytes):
+                coeffs = _encode(coeffs, stored)
+            if width != narrow:
+                coeffs = b"".join([block.ljust(span, b"\0") for block in _blocks(coeffs, size * narrow)])
+            out.append(coeffs)
         return out
 
     def add_col(self, i, j, f):
@@ -671,9 +698,10 @@ class PolynomialRing(EuclideanRing):
             raise ZeroDivisionError("polynomial division by zero")
         p, top = self.p, len(d) - 1
         if not top:
-            # a unit divisor: the quotient is x scaled, with nothing left
+            # a unit divisor: the quotient is x scaled, with nothing left;
+            # the reducer's pivots are mostly 1, which leaves x as it is
             inv = pow(d[0], -1, p)
-            return tuple([c * inv % p for c in x]), ()
+            return (x if inv == 1 else tuple([c * inv % p for c in x])), ()
         if len(x) <= top:
             return (), x
         inv_lead = pow(d[-1], -1, p)
@@ -689,6 +717,51 @@ class PolynomialRing(EuclideanRing):
                 for j, b in enumerate(d, k):
                     rem[j] = (rem[j] - coef * b) % p
         return tuple(quot), _poly_trim(rem[:top])
+
+    def _ext_gcd(self, x, y):
+        # The extended Euclidean loop (von zur Gathen & Gerhard, Modern
+        # Computer Algebra, 3.2) on packed rows: a row (r, s, t) of the
+        # remainder table is one integer of three blocks of `size` slots,
+        # size the longer operand's length, which bounds every remainder
+        # and cofactor.  A step reads the quotient q off the top slots of
+        # the two rows' remainders, then the next row is old + (-q) * cur,
+        # one product whose slots hold (p - 1) + (p - 1)^2 * size, reduced
+        # mod p in one pass.  Below the remainder's old top, the product's
+        # remainder block is the division's remainder; above, multiples of p.
+        p = self.p
+        size = max(len(x), len(y), 1)
+        slot = _slot((p - 1) * (1 + (p - 1) * size))
+        pad = [0] * size
+        old_c = [*x, *pad[len(x) :], 1, *pad[1:], *pad]
+        cur_c = [*y, *pad[len(y) :], *pad, 1, *pad[1:]]
+        old, cur = _pack(old_c, slot), _pack(cur_c, slot)
+        long_old, top = len(x), len(y) - 1
+        while top >= 0:
+            total = old
+            if long_old > top:
+                # -q's coefficients top down, each clearing the top slot of
+                # what is left of old's remainder: a holds its slots from top
+                # up, the only ones a later coefficient reads
+                a = list(old_c[top:long_old])
+                inv = -pow(cur_c[top], -1, p)
+                q = [0] * len(a)
+                for k in range(len(a) - 1, -1, -1):
+                    c = q[k] = a[k] * inv % p
+                    if c:
+                        for pos in range(max(k, top), k + top):
+                            a[pos - top] += c * cur_c[pos - k]
+                total += _pack(q, slot) * cur
+            coeffs = _read(total, 3 * size, slot, p)
+            old_c, cur_c, old, cur = cur_c, coeffs, cur, _pack(coeffs, slot)
+            # the new remainder is shorter than r, or is x when y was longer
+            long_old, top = top + 1, top - 1
+            while top >= 0 and not coeffs[top]:
+                top -= 1
+        g, u, v = [_poly_trim(old_c[k : k + size]) for k in range(0, 3 * size, size)]
+        if not g or g[-1] == 1:
+            return g, u, v
+        inv = pow(g[-1], -1, p)
+        return tuple([c * inv % p for c in g]), tuple([c * inv % p for c in u]), tuple([c * inv % p for c in v])
 
     def _unit_inverse(self, u):
         return (pow(u[0], -1, self.p),)

@@ -354,6 +354,24 @@ class LoopTableau(RowTableau):
             ri[k] = ring._mul(u, ri[k])
 
 
+def loop_ext_gcd(ring, x, y):
+    """(g, u, v) with x*u + y*v = g and g canonical (zero when x = y = 0),
+    by the extended Euclidean loop through the ring's _divmod."""
+    zero = ring._zero()
+    old_r, r = x, y
+    old_s, s = ring._one(), zero
+    old_t, t = zero, ring._one()
+    while r != zero:
+        q, rem = ring._divmod(old_r, r)
+        old_r, r = r, rem
+        old_s, s = s, ring._sub(old_s, ring._mul(q, s))
+        old_t, t = t, ring._sub(old_t, ring._mul(q, t))
+    norm = ring._normalizer(old_r)
+    if norm is None:
+        return old_r, old_s, old_t
+    return ring._mul(norm, old_r), ring._mul(norm, old_s), ring._mul(norm, old_t)
+
+
 def loop_bareiss_rows(ring, rows, k, prev):
     """One Bareiss step: entry j > k of each row i > k becomes
     (pivot * rows[i][j] - rows[i][k] * rows[k][j]) / prev."""

@@ -420,6 +420,30 @@ def test_diadems_of_a_large_ring_never_enumerate_it(no_enumeration):
     assert out.getvalue() == "# edr-kit v1\nmultiplier=0 diadem=2 evidence=exhaustive\n"
 
 
+def test_find_diadem_refuses_a_quotient_past_its_bound(no_enumeration):
+    # w = 0 + 1*0 = 0 leaves R/wR = R, refused before its sweep enumerates R
+    ring = ring_parse("Z/2000000000078")
+    with pytest.raises(CardinalityBoundError):
+        find_diadem(ring, ring.zero, ring.one, bound=100)
+    for argv in (["Z/2000", "0", "1", "--bound", "100"], ["Z/2000000000078", "0", "1"]):
+        out = io.StringIO()
+        assert main(["diadem", *argv], out=out) == 2
+        assert out.getvalue() == ""
+    # within the bound the answer and its bytes are unchanged
+    small = ring_parse("Z/12")
+    w = find_diadem(small, small.zero, small.one, bound=12)
+    assert (w.multiplier, w.diadem, w.evidence) == (small.zero, small.zero, DiademEvidence.EXHAUSTIVE_DEFINITION)
+    with pytest.raises(CardinalityBoundError):
+        find_diadem(small, small.zero, small.one, bound=11)
+    out = io.StringIO()
+    assert main(["diadem", "Z/12", "0", "1", "--bound", "12"], out=out) == 0
+    assert out.getvalue() == "# edr-kit v1\nmultiplier=0 diadem=0 evidence=exhaustive\n"
+    # R/2R = Z/2 is within any bound from 2 up
+    out = io.StringIO()
+    assert main(["diadem", "Z/2000000000078", "2", "3", "--bound", "2"], out=out) == 0
+    assert out.getvalue() == "# edr-kit v1\nmultiplier=0 diadem=2 evidence=exhaustive\n"
+
+
 def test_find_diadem_over_integers():
     w = find_diadem(Z, Z.element(3), Z.element(5))
     assert (w.multiplier.payload, w.diadem.payload) == (0, 3)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from edrkit import (
     EuclideanQuotientRing,
-    EuclideanRing,
     InfiniteRingError,
     IntegerModRing,
     IntegerRing,
@@ -34,7 +33,7 @@ from edrkit import (
     ring_parse,
 )
 from edrkit.finite_lab import CHECKERS
-from edrkit.polynomials import _slot
+from edrkit.polynomials import _SLOT_CODES, _residues, _slot
 from edrkit.rings import _format_int, _parse_int, is_prime
 
 from oracles import (
@@ -45,6 +44,7 @@ from oracles import (
     brute_divides,
     brute_unit_set,
     definition_jacobson_radical,
+    loop_ext_gcd,
     loop_matmul,
     matmul,
     p_add,
@@ -864,6 +864,74 @@ def test_shear_kernels_fill_slots_to_their_bound(name, p, length, width, monkeyp
     assert set(widths) == {width}
 
 
+# Slots of w bytes are reduced by byte planes while w (p - 1) fits a byte,
+# which 127 does at 2 bytes and 131 does not; past that, slot by slot.
+# 2^128 - 1 is an all-0xFF slot at every width.
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from((2, 4, 8, 16)),
+    st.sampled_from((127, 131) + KERNEL_PRIMES),
+    st.lists(st.one_of(st.sampled_from((0, 2**128 - 1)), st.integers(0, 2**128 - 1)), max_size=64),
+)
+@example(2, 127, [])
+@example(2, 127, [2**128 - 1] * 64)
+@example(2, 131, [2**128 - 1] * 64)
+@example(16, 2, [2**128 - 1] * 64)
+def test_residues_match_slot_by_slot_reduction(width, p, values):
+    slots = [v % 256**width for v in values]
+    data = b"".join(v.to_bytes(width, "little") for v in slots)
+    residues = _residues(data, (width, _SLOT_CODES.get(width)), p)
+    assert list(residues) == [v % p for v in slots]
+    assert isinstance(residues, bytes) == (width * (p - 1) < 256)
+
+
+def test_byte_plane_shears_are_not_encoded_again(monkeypatch):
+    # the p = 5, 2-byte col_block case of
+    # test_shear_kernels_fill_slots_to_their_bound: 2 (p - 1) fits a byte,
+    # so the residues come back as stored 1-byte slots, and the only slots
+    # encoded are the shear factors', packed into the 2-byte product slots
+    import edrkit.polynomials as polynomials
+
+    p, length = 5, 8
+    ring = PolynomialRing(p)
+    entry, factor = (p - 1,) * length, (p - 1,) * 2 * length
+    t = ((factor, factor), (factor, factor))
+    rows = [[entry, entry, ()]]
+    looped = LoopTableau(ring, rows)
+    looped.col_block(0, 1, t)
+    packed = ring._tableau(rows)
+    encoded, encode = [], polynomials._encode
+
+    def spied(coeffs, slot):
+        encoded.append((tuple(coeffs), slot[0]))
+        return encode(coeffs, slot)
+
+    monkeypatch.setattr(polynomials, "_encode", spied)
+    packed.col_block(0, 1, t)
+    assert packed.block(0, 1, 0, 3) == looped.rows
+    assert encoded and set(encoded) == {(factor, 2)}
+
+
+# Operands up to length 40 with a common factor drawn on purpose, so that
+# gcds of positive degree are frequent; slots reach 16 bytes from 2^31 - 1.
+@st.composite
+def _gcd_operands(draw):
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    coeffs = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+    common = p_trim(draw(st.lists(coeffs, max_size=20)) + [1]) if draw(st.booleans()) else (1,)
+    rest = st.lists(coeffs, max_size=41 - len(common)).map(p_trim)
+    return p, p_mul(common, draw(rest), p), p_mul(common, draw(rest), p)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_gcd_operands())
+@example((5, (4,) * 40, (4,) * 39))  # every slot of the rows is 2 bytes wide
+def test_ext_gcd_matches_the_euclidean_loop(case):
+    p, x, y = case
+    ring = PolynomialRing(p)
+    assert ring._ext_gcd(x, y) == loop_ext_gcd(ring, x, y)
+
+
 @pytest.mark.parametrize("m, k, n", [(0, 0, 0), (2, 0, 3), (0, 2, 3), (2, 3, 0), (2, 3, 4)])
 def test_matrix_product_keeps_its_shape(m, k, n):
     # an m x 0 by 0 x n product is the m x n zero matrix, though the right
@@ -1063,12 +1131,10 @@ def test_ext_gcd_is_a_canonical_bezout_combination(ring, x, y):
     g, u, v = ring._ext_gcd(x, y)
     assert ring._add(ring._mul(x, u), ring._mul(y, v)) == g
     assert _is_canonical(ring, g)
-    if isinstance(ring, IntegerRing):
-        assert g == math.gcd(x, y)
-        # the int-native loop is the generic one on native operations
-        assert EuclideanRing._ext_gcd(ring, x, y) == (g, u, v)
-    else:
-        assert g == p_gcd(x, y, ring.p)
+    assert g == (math.gcd(x, y) if isinstance(ring, IntegerRing) else p_gcd(x, y, ring.p))
+    # each carrier's kernel is the extended Euclidean loop on its own
+    # representation: the remainder sequence fixes the cofactors
+    assert loop_ext_gcd(ring, x, y) == (g, u, v)
 
 
 @_euclidean_property

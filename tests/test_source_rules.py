@@ -151,7 +151,7 @@ def test_ring_kernels_have_one_path_per_carrier():
     # test oracles (tests/oracles.py).  Each carrier has one tableau.
     from edrkit.rings import Tableau
 
-    kernels = {"_matmul", "_tableau", "_bareiss_rows"}
+    kernels = {"_matmul", "_tableau", "_bareiss_rows", "_ext_gcd"}
 
     def tree(name):
         path = SRC / name
