@@ -367,9 +367,10 @@ def smith_normal_form(ring: Ring, source: Matrix) -> ReductionCertificate:
     there are at most 2 + sum_k Omega(d_k) passes: fewer than the bit
     size (or degree) of those minors.
 
-    Chain repair: any diagonal pair breaking divisibility is rewritten as
-    a comaximal 2x2 problem (factor out the gcd, add one row) and
-    delegated to reduce_2x2_comaximal.  Zero diagonal entries end up as a
+    Chain repair: when two neighbouring diagonal entries break
+    divisibility, every diagonal pair breaking it is rewritten as a
+    comaximal 2x2 problem (factor out the gcd, add one row) and delegated
+    to reduce_2x2_comaximal.  Zero diagonal entries end up as a
     suffix; entries are normalized nonnegative (Z) or monic (GF(p)[x]).
     """
     _require_bezout_domain(ring)
@@ -387,9 +388,13 @@ def smith_normal_form(ring: Ring, source: Matrix) -> ReductionCertificate:
         _column_hermite(work)
     if flipped:
         work.transpose()
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            _merge_diagonal_pair(work, i, j)
+    # divisibility is transitive: when each entry divides the next, every
+    # pair divides and no merge would change the tableau
+    diag = [tab.entry(i, i) for i in range(rank)]
+    if any(ring._divides(x, y) is None for x, y in zip(diag, diag[1:])):
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                _merge_diagonal_pair(work, i, j)
     for i in range(rank):
         norm = ring._normalizer(tab.entry(i, i))
         if norm is not None:

@@ -21,16 +21,18 @@ _divides(x, y) finds a quotient, the Jacobson radical is the set of
 nilpotents, and the determinant (Ring._det) and the matrix product
 (Ring._matmul) are the carrier's own kernel on Z and GF(p)[x], the base
 ring's result reduced mod m on a quotient, and a pair on a product.  One
-Bareiss loop serves both domains; the update of the rows below a pivot
-(EuclideanRing._bareiss_rows) runs on native ints over Z and as one
-Kronecker-packed expression per row over GF(p)[x].  A matrix product sums
-each dot product as native ints on Z and as Kronecker-packed entries on
-GF(p)[x].  The reducer runs only on Z and GF(p)[x], on a tableau the ring
-lays out (EuclideanRing._tableau, the contract Tableau) and reads only
-through its operations: over Z a list of rows of native ints changed entry
-by entry (RowTableau), over GF(p)[x] one packed byte string per column for
-a whole Hermite pass, so a column shear is one packed product and a row's
-size reduction takes every quotient in one more.
+Bareiss loop with row and column pivoting (EuclideanRing._rank_profile, of
+which the determinant is the square case) serves both domains; the update
+of the rows below a pivot (EuclideanRing._bareiss_rows) runs on native ints
+over Z and as one Kronecker-packed expression per row over GF(p)[x].  A
+matrix product sums each dot product as native ints on Z and as
+Kronecker-packed entries on GF(p)[x].  The reducer runs only on Z and
+GF(p)[x], on a tableau the ring lays out (EuclideanRing._tableau, the
+contract Tableau) and reads only through its operations: over Z a list of
+rows of native ints changed entry by entry (RowTableau), over GF(p)[x] one
+packed byte string per column for a whole Hermite pass, so a column shear
+is one packed product and a row's size reduction takes every quotient in
+one more.
 
 Element literals are read and written one at a time by _parse and _format,
 and a matrix row at a time by _parse_row and _format_row.  The row codecs
@@ -559,27 +561,45 @@ class EuclideanRing(Ring):
         """The reducer's tableau holding a copy of the payload grid."""
 
     def _det(self, grid):
-        """Fraction-free Gaussian elimination (Bareiss 1968).
+        rank, _, _, delta = self._rank_profile(grid, len(grid))
+        return delta if rank == len(grid) else self._zero()
 
-        Every division by the previous pivot is exact in an integral domain, so
-        intermediate entries stay minors of the input: O(n^3) ring operations.
-        The pivot search, row swaps and sign are shared; the update of the rows
-        below each pivot is _bareiss_rows, one kernel per carrier.
+    def _rank_profile(self, grid: list[list], cols: int) -> tuple[int, list, list, Any]:
+        """(r, T, S, delta) for the grid with len(grid) rows and cols columns:
+        its rank r, r rows T and r columns S in pivot order, and
+        delta = +-det grid[T, S], nonzero (one when r = 0), the determinant
+        itself when the grid is square and nonsingular.
+
+        Fraction-free Gaussian elimination (Bareiss 1968) with row and column
+        pivoting.  Every division by the previous pivot is exact in an integral
+        domain, so intermediate entries stay minors of the input: O(m n r) ring
+        operations.  The pivot search, swaps and sign are shared; the update of
+        the rows below each pivot is _bareiss_rows, one kernel per carrier.
         """
         a = [list(row) for row in grid]
-        n = len(a)
-        zero, one = self._zero(), self._one()
-        sign, prev = one, one
-        for k in range(n - 1):
-            if a[k][k] == zero:
-                swap = next((i for i in range(k + 1, n) if a[i][k] != zero), None)
-                if swap is None:
-                    return zero
-                a[k], a[swap] = a[swap], a[k]
+        rows, columns = list(range(len(a))), list(range(cols))
+        zero = self._zero()
+        sign = prev = self._one()
+        k, end = 0, min(len(a), cols)
+        while k < end:
+            # column k first, so a nonsingular square grid swaps rows only
+            at = next(((i, j) for j in range(k, cols) for i in range(k, len(a)) if a[i][j] != zero), None)
+            if at is None:
+                break
+            i, j = at
+            if i != k:
+                a[k], a[i], rows[k], rows[i] = a[i], a[k], rows[i], rows[k]
                 sign = self._neg(sign)
-            self._bareiss_rows(a, k, prev)
+            if j != k:
+                for row in a[k:]:
+                    row[k], row[j] = row[j], row[k]
+                columns[k], columns[j] = columns[j], columns[k]
+                sign = self._neg(sign)
+            if k + 1 < end:
+                self._bareiss_rows(a, k, prev)
             prev = a[k][k]
-        return self._mul(sign, a[n - 1][n - 1]) if n else one
+            k += 1
+        return k, rows[:k], columns[:k], self._mul(sign, prev)
 
     @abstractmethod
     def _bareiss_rows(self, rows: list[list], k: int, prev: Any) -> None:

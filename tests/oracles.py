@@ -2,7 +2,8 @@
 
 These deliberately re-derive results with different algorithms than the
 package under test: determinantal divisors and determinants from raw minor
-expansion and from Berkowitz's division-free algorithm, polynomial
+expansion and from Berkowitz's division-free algorithm, the verifier's
+unit-determinant clause from det P and det Q by Berkowitz, polynomial
 arithmetic, matrix products, the ring kernels (_matmul, _bareiss_rows) and
 the reducer's tableau (LoopTableau) from per-entry loops, Hermite completions from
 brute force over invertible 2x2 matrices, units, quotients, ideals,
@@ -382,6 +383,25 @@ def loop_bareiss_rows(ring, rows, k, prev):
         for j in range(k + 1, len(row_k)):
             numerator = ring._sub(ring._mul(pivot, row_i[j]), ring._mul(lead, row_k[j]))
             row_i[j] = ring._divides(prev, numerator)
+
+
+def two_determinant_verdict(ring, a, p, d, q):
+    """check_certificate's verdict on payload grids, clause by clause, with
+    the unit-determinant clause as det P and det Q by Berkowitz and the
+    product by the schoolbook loop: the first failed clause, or None."""
+    if loop_matmul(ring, loop_matmul(ring, p, a), q) != d:
+        return "product"
+    if not all(ring._is_unit(berkowitz_determinant(ring, grid)) for grid in (p, q)):
+        return "unit-determinant"
+    zero = ring._zero()
+    if any(x != zero for i, row in enumerate(d) for j, x in enumerate(row) if i != j):
+        return "chain"
+    diag = [d[i][i] for i in range(min(len(p), len(q)))]
+    if any(ring._divides(x, y) is None for x, y in zip(diag, diag[1:])):
+        return "chain"
+    if not all(map(ring._is_normalized, diag)):
+        return "normalization"
+    return None
 
 
 # -- finite rings answered by exhaustive search --------------------------------

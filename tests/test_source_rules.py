@@ -51,15 +51,17 @@ def test_verifier_imports_only_matrices_and_rings():
 
 
 def test_producer_never_calls_the_verifiers_kernels():
-    # the verifier checks with the ring's own determinant (and its Bareiss
-    # row kernel), matrix-product kernel and normalization predicate, so its
-    # independence rests on the reducer never calling them
+    # the verifier checks with the ring's own determinant and rank profile
+    # (and their Bareiss row kernel), matrix-product kernel and
+    # normalization predicate, so its independence rests on the reducer
+    # never calling them
     path = SRC / "reduction.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    kernels = {"_det", "_rank_profile", "_bareiss_rows", "_matmul", "_is_normalized"}
     found = [
         f"reduction.py:{node.lineno} {node.attr}"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in {"_det", "_bareiss_rows", "_matmul", "_is_normalized"}
+        if isinstance(node, ast.Attribute) and node.attr in kernels
     ]
     assert found == []
 

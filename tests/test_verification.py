@@ -25,10 +25,13 @@ from edrkit.rings import EuclideanQuotientRing, ProductRing, Ring
 from oracles import (
     LoopTableau,
     berkowitz_determinant,
+    int_determinantal_divisors,
     laplace_determinant,
     loop_add_col,
     loop_bareiss_rows,
     loop_matmul,
+    poly_determinantal_divisors,
+    two_determinant_verdict,
 )
 
 Z = IntegerRing()
@@ -148,6 +151,127 @@ def test_verify_24x24_certificate_is_fast():
     start = time.perf_counter()
     assert verify_certificate(Z, m, cert)
     assert time.perf_counter() - start < 1.0
+
+
+CLAUSE_RINGS = (Z, PolynomialRing(2), PolynomialRing(3), G5)
+
+
+def _clause_elements(ring):
+    if isinstance(ring, IntegerRing):
+        return st.integers(-9, 9)
+    return st.lists(st.integers(0, ring.p - 1), max_size=3).map(ring._canonical)
+
+
+def _non_units(ring):
+    # zero included: a row or column times zero leaves P or Q singular
+    if isinstance(ring, IntegerRing):
+        return st.sampled_from((0, 2, -3, 6))
+    return st.sampled_from(((), (0, 1), (1, 1), (1, 0, 1)))
+
+
+@st.composite
+def _low_rank_grids(draw):
+    """(ring, grid, cols) over Z or GF(p)[x], p in {2, 3, 5}, sides 0-7:
+    grid = B*C through an inner side k <= min(m, n), k = min(m, n) about half
+    the time, and with about one entry in three of B and C zero, so zero
+    columns send the elimination to its column search."""
+    ring = draw(st.sampled_from(CLAUSE_RINGS))
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    k = draw(st.one_of(st.just(min(m, n)), st.integers(0, min(m, n))))
+    elements = _clause_elements(ring)
+    elements = st.one_of(st.just(ring._zero()), elements, elements)
+    b = [[draw(elements) for _ in range(k)] for _ in range(m)]
+    c = [[draw(elements) for _ in range(n)] for _ in range(k)]
+    grid = loop_matmul(ring, b, c) if k else [[ring._zero()] * n for _ in range(m)]
+    return ring, grid, n
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_low_rank_grids())
+def test_rank_profile_matches_the_minors(case):
+    ring, grid, cols = case
+    rank, t, s, delta = ring._rank_profile(grid, cols)
+    if isinstance(ring, IntegerRing):
+        divisors = int_determinantal_divisors(grid)
+    else:
+        divisors = poly_determinantal_divisors(grid, ring.p)
+    # the rank is the number of nonzero determinantal divisors
+    assert rank == sum(g != ring._zero() for g in divisors)
+    assert len(set(t)) == len(set(s)) == rank
+    assert set(t) <= set(range(len(grid))) and set(s) <= set(range(cols))
+    minor = laplace_determinant(ring, [[grid[i][j] for j in s] for i in t])
+    assert minor != ring._zero()
+    assert delta in (minor, ring._neg(minor))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_low_rank_grids(), st.data())
+def test_unit_determinant_clause_matches_two_determinants(case, data):
+    # tampers that keep P*A*Q = D, so the unit-determinant clause (and then
+    # chain) decides: a non-unit times a row of P and D or a column of Q and
+    # D, and row i += c * row k of P and D (unimodular: chain once D changes)
+    # or row i := u * row i + c * row k with u a non-unit
+    ring, a, cols = case
+    source = from_payload_grid(ring, a, cols)
+    cert = smith_normal_form(ring, source)
+    p, d, q = cert.P.payload_grid(), cert.D.payload_grid(), cert.Q.payload_grid()
+    m, n = len(p), len(q)
+    zero, one = ring._zero(), ring._one()
+
+    def row_op(rows, i, k, u, c):
+        rows = [list(row) for row in rows]
+        rows[i] = [ring._add(ring._mul(u, x), ring._mul(c, y)) for x, y in zip(rows[i], rows[k])]
+        return rows
+
+    def col_scaled(rows, j, u):
+        return [[ring._mul(u, x) if col == j else x for col, x in enumerate(row)] for row in rows]
+
+    cases = [(p, d, q, None)]
+    if m:
+        i, u = data.draw(st.integers(0, m - 1)), data.draw(_non_units(ring))
+        cases.append((row_op(p, i, i, u, zero), row_op(d, i, i, u, zero), q, "unit-determinant"))
+    if n:
+        j, u = data.draw(st.integers(0, n - 1)), data.draw(_non_units(ring))
+        cases.append((p, col_scaled(d, j, u), col_scaled(q, j, u), "unit-determinant"))
+    if m >= 2:
+        i, k = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        c, u = data.draw(_clause_elements(ring)), data.draw(_non_units(ring))
+        sheared = row_op(d, i, k, one, c)
+        cases.append((row_op(p, i, k, one, c), sheared, q, None if sheared == d else "chain"))
+        cases.append((row_op(p, i, k, u, c), row_op(d, i, k, u, c), q, "unit-determinant"))
+    for p_t, d_t, q_t, expected in cases:
+        blocks = (from_payload_grid(ring, g, width) for g, width in ((p_t, m), (d_t, n), (q_t, n)))
+        assert check_certificate(ring, source, ReductionCertificate(*blocks)) == expected
+        assert two_determinant_verdict(ring, a, p_t, d_t, q_t) == expected
+
+
+def test_unit_determinant_clause_eliminates_only_small_grids(monkeypatch):
+    # apart from A, the clause eliminates only blocks of P and Q with at most
+    # max(m - r, n - r) rows: none on a nonsingular 24 x 24 matrix over Z,
+    # 4 x 4 and 8 x 8 ones on a 10 x 14 matrix of rank 6 over GF(5)[x]
+    rng = random.Random("small-grids")
+    square = [[rng.randint(-99, 99) for _ in range(24)] for _ in range(24)]
+    b, c = (
+        [[G5._canonical([rng.randrange(5), rng.randrange(5)]) for _ in range(n)] for _ in range(m)]
+        for m, n in ((10, 6), (6, 14))
+    )
+    wide = loop_matmul(G5, b, c)
+    profile = EuclideanRing._rank_profile
+    for ring, grid, rank in ((Z, square, 24), (G5, wide, 6)):
+        a = from_payload_grid(ring, grid)
+        cert = smith_normal_form(ring, a)
+        assert profile(ring, grid, a.cols)[0] == rank
+        seen = []
+
+        def spy(self, rows, cols):
+            seen.append(rows)
+            return profile(self, rows, cols)
+
+        monkeypatch.setattr(EuclideanRing, "_rank_profile", spy)
+        assert check_certificate(ring, a, cert) is None
+        monkeypatch.undo()
+        assert seen[0] == grid
+        assert max(map(len, seen[1:])) == max(a.rows - rank, a.cols - rank)
 
 
 def _seeded_certificates(ring, rng, count):
