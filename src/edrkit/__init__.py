@@ -59,6 +59,7 @@ _EXPORTS = {
                 "counterexample_is_genuine",
                 "find_coprime_splitting",
                 "find_diadem",
+                "gelfand_range_1_witness",
                 "ideal_generated",
                 "is_comaximal",
                 "is_diadem_direct",
@@ -83,7 +84,6 @@ _EXPORTS = {
             (
                 "SR2Witness",
                 "diadem_step",
-                "gelfand_range_1_witness",
                 "hermite_reduce_1x2",
                 "hermite_reduce_2x1",
                 "reduce_2x2_comaximal",

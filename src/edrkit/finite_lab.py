@@ -23,6 +23,7 @@ from .rings import (
     CardinalityBoundError,
     EuclideanRing,
     InfiniteRingError,
+    IntegerRing,
     Ring,
     RingElement,
     UnsupportedRingError,
@@ -470,7 +471,7 @@ def verify_associate_diadems(
 
 
 # ---------------------------------------------------------------------------
-# Coprime splittings over Z
+# Coprime splittings and Gelfand witnesses over Z
 # ---------------------------------------------------------------------------
 
 
@@ -495,6 +496,25 @@ def find_coprime_splitting(c: int, a: int, b: int) -> CoprimeSplitting:
         g = math.gcd(x, b)
     r = abs(c) // x
     return CoprimeSplitting(c, r, c // r)
+
+
+def gelfand_range_1_witness(a: int, b: int) -> int:
+    """Multiplier t with a + b*t nonzero and Z/(a + b*t) a Gelfand ring.
+
+    Same search order as find_diadem over Z; every nonzero quotient of Z
+    is finite and the exhaustive Gelfand check decides it.
+    """
+    if math.gcd(a, b) != 1:
+        raise ValueError("gcd(a, b) must be 1")
+    integers = IntegerRing()
+    for t in integers._enumerate_payloads():
+        w = a + b * t
+        if w == 0:
+            continue
+        quotient = quotient_ring(integers, integers.element(w))
+        if check_gelfand(quotient, bound=None).holds:
+            return t
+    raise AssertionError("gelfand witness search cannot fail")
 
 
 # ---------------------------------------------------------------------------

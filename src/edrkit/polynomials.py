@@ -292,7 +292,7 @@ class _PackedTableau(Tableau):
     holds p - 1); an entry is its block, low coefficient first, zero-padded
     at the top.  Row i's block sits at position self.order[i] of every
     column, so a row swap only permutes self.order.  Every change is a
-    sequence of shears x + f * y (_shears): one product of packed integers
+    sequence of shears x + f * y (_pass): one product of packed integers
     whose slots are as wide as its sum needs, then one reduction mod p back
     into stored slots.  self.lens[j] bounds the length of every entry of
     column j, so an operation checks against it that the blocks have room
@@ -349,30 +349,27 @@ class _PackedTableau(Tableau):
         self.cols[:] = [b"".join([block.ljust(wide, b"\0") for block in _blocks(col, span)]) for col in self.cols]
         self.size, self.span = size, wide
 
-    def _shears(self, xs: list, fss: list, ys: list, longest: list) -> list:
+    def _pass(self, xs: list, fss: list, ys: list, longest: list) -> list:
         """x + the sum of f * y over fs and ys, for each x of xs and fs of
-        fss, each slot reduced mod p, in one pass: xs (or b"") and ys are
-        stored columns, and the entries of ys[t] are no longer than
-        longest[t]."""
-        p = self.p
-        bounds = [(p - 1) ** 2 * min(max(len(fs[t]) for fs in fss), longest[t]) for t in range(len(ys))]
-        return self._pass(xs, fss, ys, p - 1 + sum(bounds))
-
-    def _pass(self, xs: list, fss: list, ys: list, bound: int) -> list:
-        """_shears in one product per x, with slots that hold bound.  Past
+        fss, each slot reduced mod p, in one product per x: xs (or b"") and
+        ys are stored columns, and the entries of ys[t] are no longer than
+        longest[t].  The one bound rule: a slot of a sum is at most p - 1
+        plus, for each y, (p - 1)^2 times the fewer of its longest f and
+        longest[t], and the product takes slots that hold it.  Past
         self.slot, the columns are cut to blocks just long enough for their
         entries and the products, and spread into slots that wide; the
         residues, in stored slots, are padded back to blocks of self.span
         bytes."""
         p, stored, size, span = self.p, self.slot, self.size, self.span
+        longest_f = [max(map(len, factors)) for factors in zip(*fss)]  # per y
+        bound = p - 1 + (p - 1) ** 2 * sum(map(min, longest_f, longest))
         slot = stored if bound < self.capacity else _slot(bound)
         width, narrow = slot[0], stored[0]
         if width != narrow:
-            longest_f = max(len(f) for fs in fss for f in fs)
             size = max(
                 1,
                 *(_longest(x, span, narrow) for x in xs),
-                longest_f + max(_longest(y, span, narrow) for y in ys) - 1,
+                max(longest_f) + max(_longest(y, span, narrow) for y in ys) - 1,
             )
             xs = [_spread(_cut(x, span, size * narrow), narrow, width) for x in xs]
             ys = [_spread(_cut(y, span, size * narrow), narrow, width) for y in ys]
@@ -396,9 +393,8 @@ class _PackedTableau(Tableau):
         if not f or not lens[j]:
             return
         self._room(len(f), j)
-        cols, p = self.cols, self.p
-        bound = p - 1 + (p - 1) ** 2 * min(len(f), lens[j])
-        (cols[i],) = self._pass([cols[i]], [[f]], [cols[j]], bound)
+        cols = self.cols
+        (cols[i],) = self._pass([cols[i]], [[f]], [cols[j]], [lens[j]])
         lens[i] = max(lens[i], len(f) + lens[j] - 1)
 
     def col_block(self, i, j, t):
@@ -408,7 +404,7 @@ class _PackedTableau(Tableau):
             self._room(longest_t, i, j)
         cols, lens = self.cols, self.lens
         long_x, long_y = lens[i], lens[j]
-        cols[i], cols[j] = self._shears([b"", b""], [[t00, t10], [t01, t11]], [cols[i], cols[j]], [long_x, long_y])
+        cols[i], cols[j] = self._pass([b"", b""], [[t00, t10], [t01, t11]], [cols[i], cols[j]], [long_x, long_y])
         lens[i] = lens[j] = max(long_x, long_y) + longest_t - 1 if longest_t else 0
 
     def reduce_row(self, r):
@@ -448,8 +444,7 @@ class _PackedTableau(Tableau):
         factors = [_poly_trim(coeffs[k : k + m][::-1]) for k in range(0, len(coeffs), size)]
         self._room(m, r)
         lens = self.lens
-        bound = p - 1 + (p - 1) ** 2 * min(m, lens[r])
-        new = self._pass([cols[c] for c in targets], [[f] for f in factors], [cols[r]], bound)
+        new = self._pass([cols[c] for c in targets], [[f] for f in factors], [cols[r]], [lens[r]])
         for c, x in zip(targets, new):
             cols[c] = x
             lens[c] = max(lens[c], lengths[c] - top + lens[r])
@@ -488,22 +483,15 @@ class _PackedTableau(Tableau):
         cols[i], cols[j] = cols[j], cols[i]
         lens[i], lens[j] = lens[j], lens[i]
 
-    def add_row(self, i, j, f):
-        if not f:
-            return
-        (y,), longest = self._rows(len(f), (j,))
-        p = self.p
-        self._set_row(i, self._pass([self._row(i)], [[f]], [y], p - 1 + (p - 1) ** 2 * min(len(f), longest))[0])
-
     def row_block(self, i, j, t):
         (t00, t01), (t10, t11) = t
         (x, y), longest = self._rows(max(map(len, (t00, t01, t10, t11))), (i, j))
-        new_i, new_j = self._shears([b"", b""], [[t00, t01], [t10, t11]], [x, y], [longest, longest])
+        new_i, new_j = self._pass([b"", b""], [[t00, t01], [t10, t11]], [x, y], [longest, longest])
         self._set_row(i, new_i)
         self._set_row(j, new_j)
 
     def scale_row(self, i, u):
-        self._set_row(i, self._pass([b""], [[u]], [self._row(i)], (self.p - 1) ** 2)[0])
+        self._set_row(i, self._pass([b""], [[u]], [self._row(i)], [self.size])[0])
 
     def transpose(self):
         # the entries keep their lengths, so every column is bounded by the

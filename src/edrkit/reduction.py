@@ -17,15 +17,13 @@ tableau's operations.
 
 from __future__ import annotations
 
-import math
-
-from .finite_lab import check_gelfand, find_diadem, is_comaximal
+from .finite_lab import find_diadem, is_comaximal
 from .matrices import Matrix, ReductionCertificate, from_payload_grid
 from .rings import (
     EuclideanRing,
-    IntegerRing,
     Ring,
     RingElement,
+    Tableau,
     UnsupportedRingError,
     bezout_gcd,
     quotient_ring,
@@ -99,58 +97,37 @@ def hermite_reduce_2x1(
 
 
 # ---------------------------------------------------------------------------
-# Tracked elementary transforms on one payload tableau
+# The tableau [[A, P], [Q, 0]]
 # ---------------------------------------------------------------------------
 
 
-class _Tracked:
-    """The tableau [[A, P], [Q, 0]] with P * A0 * Q = A maintained throughout.
+def _start(ring: Ring, source: Matrix) -> Tableau:
+    """The tableau [[A, P], [Q, 0]] of source, with P = I and Q = I, so that
+    every operation keeps P * A0 * Q = A.
 
     The ring holds it (ring._tableau), in its own layout, as m + n rows: the
     first m hold A (m x n) followed by P (m x m), the last n hold Q (n x n)
     followed by n x m zeros, so entry (i, j) with i < m and j < n is the
     working matrix.  A row operation on rows below m moves A and P together,
     a column operation on columns below n moves A and Q together, and
-    neither touches the zero block.  The reducer reads entries only through
-    self.tab (entry, is_zero) and changes them only through seven
-    operations and the tableau's reduce_row.  The seven are the tableau's
-    own methods, bound in __init__ so that a call costs no extra frame:
-    row_block(i, j, t) (rows i, j of A and P become t applied to the old
-    pair), col_block(i, j, t) (columns i, j of A and Q become the old pair
-    times t), add_col(i, j, f) (col_i += f * col_j), add_row(i, j, f)
-    (row_i += f * row_j), scale_row(i, u) (row_i *= u for a unit u),
-    swap_rows and swap_cols.
+    neither touches the zero block.  The tableau's transpose is the tableau
+    [[A^t, Q^t], [P^t, 0]] of the transposed problem Q^t * A0^t * P^t = A^t,
+    whose column operations are row operations on the original; the
+    callers swap m and n with it.
     """
+    m, n = source.rows, source.cols
+    grid = [row + _unit_row(ring, i, m) for i, row in enumerate(source.payload_grid())]
+    grid += [_unit_row(ring, j, n + m) for j in range(n)]
+    return ring._tableau(grid)
 
-    def __init__(self, ring: Ring, source: Matrix):
-        self.ring = ring
-        self.m = m = source.rows
-        self.n = n = source.cols
-        grid = [row + _unit_row(ring, i, m) for i, row in enumerate(source.payload_grid())]
-        grid += [_unit_row(ring, j, n + m) for j in range(n)]
-        self.tab = tab = ring._tableau(grid)
-        self.row_block, self.col_block, self.add_col = tab.row_block, tab.col_block, tab.add_col
-        self.swap_rows, self.swap_cols = tab.swap_rows, tab.swap_cols
-        self.add_row, self.scale_row = tab.add_row, tab.scale_row
 
-    def transpose(self) -> None:
-        """Swap to the transposed problem Q^t * A0^t * P^t = A^t, whose
-        tableau [[A^t, Q^t], [P^t, 0]] is the transposed tableau.
-
-        Column operations on the result are row operations on the original.
-        """
-        self.tab.transpose()
-        self.m, self.n = self.n, self.m
-
-    def certificate(self) -> ReductionCertificate:
-        m, n = self.m, self.n
-        return ReductionCertificate(
-            self._block(0, m, n, m + n), self._block(0, m, 0, n), self._block(m, m + n, 0, n)
-        )
-
-    def _block(self, top: int, bottom: int, left: int, right: int) -> Matrix:
-        """A block of the tableau, shaped even when empty."""
-        return from_payload_grid(self.ring, self.tab.block(top, bottom, left, right), right - left)
+def _certificate(ring: Ring, tab: Tableau, m: int, n: int) -> ReductionCertificate:
+    """P, D and Q read off the tableau of an m x n problem, shaped even when empty."""
+    return ReductionCertificate(
+        from_payload_grid(ring, tab.block(0, m, n, m + n), m),
+        from_payload_grid(ring, tab.block(0, m, 0, n), n),
+        from_payload_grid(ring, tab.block(m, m + n, 0, n), n),
+    )
 
 
 def _unit_row(ring: Ring, i: int, size: int) -> list:
@@ -210,31 +187,30 @@ def reduce_2x2_comaximal(ring: Ring, source: Matrix) -> ReductionCertificate:
         raise ValueError("matrix must have shape [[a, 0], [b, c]]")
     if not ring._ideal_has_one((a, b, c)):
         raise ValueError("entries are not comaximal")
-    work = _Tracked(ring, source)
-    tab = work.tab
+    tab = _start(ring, source)
     if ring._is_unit(a):
         # Degenerate input: scale the corner to 1 and shear b away.
         if a != one:
-            work.scale_row(0, ring._unit_inverse(a))
+            tab.scale_row(0, ring._unit_inverse(a))
         if b != zero:
-            work.add_row(1, 0, ring._neg(tab.entry(1, 0)))
+            tab.row_block(0, 1, ((one, zero), (ring._neg(tab.entry(1, 0)), one)))
     elif a == zero:
         # Row (b, c) is itself comaximal: one Hermite step leaves the unit
         # corner directly.
         t, g = _hermite_blocks(ring, b, c)
-        work.col_block(0, 1, t)
-        work.swap_rows(0, 1)
+        tab.col_block(0, 1, t)
+        tab.swap_rows(0, 1)
     else:
         x, y, w = diadem_step(
             ring, RingElement(ring, a), RingElement(ring, b), RingElement(ring, c)
         )
-        work.row_block(0, 1, ((one, zero), (x.payload, one)))
-        work.col_block(0, 1, ((one, zero), (y.payload, one)))
+        tab.row_block(0, 1, ((one, zero), (x.payload, one)))
+        tab.col_block(0, 1, ((one, zero), (y.payload, one)))
         # bottom row (w, c) -> (0, alpha): column-swapped Hermite block with
         # the first column negated to keep the determinant at 1
         t, alpha = _hermite_blocks(ring, w.payload, c)
         ((t00, t01), (t10, t11)) = t
-        work.col_block(0, 1, ((ring._neg(t01), t00), (ring._neg(t11), t10)))
+        tab.col_block(0, 1, ((ring._neg(t01), t00), (ring._neg(t11), t10)))
         a_top, c_top = tab.entry(0, 0), tab.entry(0, 1)
         # divisor-of-a-diadem completion: alpha divides w, so a multiplier m
         # with gcd(w, c1 + d1*m) unit also makes (c_top + a_top*m, alpha) comaximal
@@ -244,20 +220,20 @@ def reduce_2x2_comaximal(ring: Ring, source: Matrix) -> ReductionCertificate:
         m = _comaximal_completion(
             ring, w.payload, k_cert.a1.payload, k_cert.b1.payload
         )
-        work.col_block(0, 1, ((m, one), (one, zero)))
+        tab.col_block(0, 1, ((m, one), (one, zero)))
         t, g = _hermite_blocks(ring, tab.entry(0, 0), tab.entry(1, 0))
-        work.row_block(0, 1, _transposed(t))
+        tab.row_block(0, 1, _transposed(t))
     # corner is now the unit g (exactly 1 after normalization); clear the rest
     corner = tab.entry(0, 0)
     if corner != one:
-        work.scale_row(0, ring._unit_inverse(corner))
+        tab.scale_row(0, ring._unit_inverse(corner))
     beta = tab.entry(0, 1)
     if beta != zero:
-        work.col_block(0, 1, ((one, ring._neg(beta)), (zero, one)))
+        tab.col_block(0, 1, ((one, ring._neg(beta)), (zero, one)))
     norm = ring._normalizer(tab.entry(1, 1))
     if norm is not None:
-        work.scale_row(1, norm)
-    return work.certificate()
+        tab.scale_row(1, norm)
+    return _certificate(ring, tab, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -265,23 +241,7 @@ def reduce_2x2_comaximal(ring: Ring, source: Matrix) -> ReductionCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _size_reduce(work: _Tracked, start: int, k: int) -> None:
-    """Reduce rows start..k-1 of the lower-triangular leading k x k minor.
-
-    Each entry left of the diagonal is taken modulo its row's diagonal
-    entry by a column shear.  Column r is zero above row r, so the shear
-    only touches rows r and below of the reduced column; going top-down
-    leaves every finished row reduced.  A row is one call of the
-    tableau's reduce_row: entry by entry over Z, and over GF(p)[x] all of
-    the row's quotients in one packed product and all of its shears in
-    another.
-    """
-    tab = work.tab
-    for r in range(start, k):
-        tab.reduce_row(r)
-
-
-def _column_hermite(work: _Tracked) -> int:
+def _column_hermite(ring: Ring, tab: Tableau, m: int, n: int) -> int:
     """Kannan-Bachem pass: a size-reduced column Hermite form, minor by minor.
 
     Each new column is cleared above the diagonal against the pivots found
@@ -293,13 +253,18 @@ def _column_hermite(work: _Tracked) -> int:
     swapped up when the diagonal entry alone vanished.  Returns the rank r:
     afterwards rows 0..r-1 of columns 0..r-1 are lower triangular with a
     nonzero diagonal, and columns r.. are zero.
+
+    Size reduction takes each entry left of the diagonal modulo its row's
+    diagonal entry by a column shear: one reduce_row per row.  Column r is
+    zero above row r, so the shear only touches rows r and below of the
+    reduced column; going top-down leaves every finished row reduced.
     """
-    ring, entry, is_zero = work.ring, work.tab.entry, work.tab.is_zero
+    entry, is_zero = tab.entry, tab.is_zero
     zero = ring._zero()
     # pivots[j] is entry (j, j): only a Hermite block on column j changes
     # it, as rows above a pivot are zero in every later column
     pivots = []
-    rank, end = 0, work.n
+    rank, end = 0, n
     while rank < end:
         i = rank
         start = i
@@ -309,40 +274,41 @@ def _column_hermite(work: _Tracked) -> int:
                 continue
             q = ring._divides(pivots[j], x)
             if q is not None:
-                work.add_col(i, j, ring._neg(q))
+                tab.add_col(i, j, ring._neg(q))
             else:
                 t, _ = _hermite_blocks(ring, pivots[j], x)
-                work.col_block(j, i, t)
+                tab.col_block(j, i, t)
                 pivots[j] = entry(j, j)
                 start = min(start, j)
-        row = next((r for r in range(i, work.m) if not is_zero(r, i)), None)
+        row = next((r for r in range(i, m) if not is_zero(r, i)), None)
         if row is None:
             end -= 1
-            work.swap_cols(i, end)
+            tab.swap_cols(i, end)
             continue
-        work.swap_rows(i, row)
+        tab.swap_rows(i, row)
         pivots.append(entry(i, i))
         rank += 1
-        _size_reduce(work, start, rank)
+        for r in range(start, rank):
+            tab.reduce_row(r)
     return rank
 
 
-def _merge_diagonal_pair(work: _Tracked, i: int, j: int) -> None:
+def _merge_diagonal_pair(ring: Ring, tab: Tableau, i: int, j: int) -> None:
     """Replace diag entries (d_i, d_j) by (gcd, lcm-associate) via the core."""
-    ring = work.ring
-    di, dj = work.tab.entry(i, i), work.tab.entry(j, j)
+    di, dj = tab.entry(i, i), tab.entry(j, j)
     if ring._divides(di, dj) is not None:
         return
     cert = bezout_gcd(ring, RingElement(ring, di), RingElement(ring, dj))
-    work.add_row(j, i, ring._one())
+    one, zero = ring._one(), ring._zero()
+    tab.row_block(i, j, ((one, zero), (one, one)))
     # the (i, j) block is now g * [[di1, 0], [di1, dj1]] with (di1, dj1) coprime
     sub = from_payload_grid(
         ring,
-        [[cert.a1.payload, ring._zero()], [cert.a1.payload, cert.b1.payload]],
+        [[cert.a1.payload, zero], [cert.a1.payload, cert.b1.payload]],
     )
     sub_cert = reduce_2x2_comaximal(ring, sub)
-    work.row_block(i, j, sub_cert.P.payload_grid())
-    work.col_block(i, j, sub_cert.Q.payload_grid())
+    tab.row_block(i, j, sub_cert.P.payload_grid())
+    tab.col_block(i, j, sub_cert.Q.payload_grid())
 
 
 def smith_normal_form(ring: Ring, source: Matrix) -> ReductionCertificate:
@@ -376,34 +342,36 @@ def smith_normal_form(ring: Ring, source: Matrix) -> ReductionCertificate:
     _require_bezout_domain(ring)
     if source.ring != ring:
         raise ValueError("matrix ring mismatch")
-    work = _Tracked(ring, source)
-    tab = work.tab
-    rank = _column_hermite(work)
+    tab = _start(ring, source)
+    m, n = source.rows, source.cols
+    rank = _column_hermite(ring, tab, m, n)
     flipped = False
     # columns rank.. are zero after a pass, so only the first rank can hold
     # entries below the diagonal
-    while not all(tab.is_zero(i, j) for j in range(rank) for i in range(j + 1, work.m)):
-        work.transpose()
+    while not all(tab.is_zero(i, j) for j in range(rank) for i in range(j + 1, m)):
+        tab.transpose()
+        m, n = n, m
         flipped = not flipped
-        _column_hermite(work)
+        _column_hermite(ring, tab, m, n)
     if flipped:
-        work.transpose()
+        tab.transpose()
+        m, n = n, m
     # divisibility is transitive: when each entry divides the next, every
     # pair divides and no merge would change the tableau
     diag = [tab.entry(i, i) for i in range(rank)]
     if any(ring._divides(x, y) is None for x, y in zip(diag, diag[1:])):
         for i in range(rank):
             for j in range(i + 1, rank):
-                _merge_diagonal_pair(work, i, j)
+                _merge_diagonal_pair(ring, tab, i, j)
     for i in range(rank):
         norm = ring._normalizer(tab.entry(i, i))
         if norm is not None:
-            work.scale_row(i, norm)
-    return work.certificate()
+            tab.scale_row(i, norm)
+    return _certificate(ring, tab, m, n)
 
 
 # ---------------------------------------------------------------------------
-# Constructive stable-range-2 and Gelfand witnesses
+# Constructive stable-range-2 witnesses
 # ---------------------------------------------------------------------------
 
 
@@ -455,21 +423,3 @@ def _reduce_mod(ring: Ring, value: RingElement, modulus: RingElement) -> RingEle
     its representative in ring/(modulus), so nonnegative over Z."""
     return RingElement(ring, quotient_ring(ring, modulus)._reduce(value.payload))
 
-
-def gelfand_range_1_witness(a: int, b: int) -> int:
-    """Multiplier t with a + b*t nonzero and Z/(a + b*t) a Gelfand ring.
-
-    Same search order as find_diadem over Z; every nonzero quotient of Z
-    is finite and the exhaustive Gelfand check decides it.
-    """
-    if math.gcd(a, b) != 1:
-        raise ValueError("gcd(a, b) must be 1")
-    integers = IntegerRing()
-    for t in integers._enumerate_payloads():
-        w = a + b * t
-        if w == 0:
-            continue
-        quotient = quotient_ring(integers, integers.element(w))
-        if check_gelfand(quotient, bound=None).holds:
-            return t
-    raise AssertionError("gelfand witness search cannot fail")

@@ -480,10 +480,6 @@ class Tableau(ABC):
     def swap_cols(self, i: int, j: int) -> None: ...
 
     @abstractmethod
-    def add_row(self, i: int, j: int, f: Any) -> None:
-        """Row i += f * row j."""
-
-    @abstractmethod
     def row_block(self, i: int, j: int, t) -> None:
         """Rows i, j become t times the old pair."""
 
@@ -654,10 +650,6 @@ class RowTableau(Tableau):
         if i != j:
             for row in self.rows:
                 row[i], row[j] = row[j], row[i]
-
-    def add_row(self, i, j, f):
-        ri, rj = self.rows[i], self.rows[j]
-        ri[:] = [x + f * y for x, y in zip(ri, rj)]
 
     def row_block(self, i, j, t):
         (t00, t01), (t10, t11) = t

@@ -333,12 +333,6 @@ class LoopTableau(RowTableau):
     def reduce_row(self, r):
         loop_reduce_row(self.ring, self.rows, r)
 
-    def add_row(self, i, j, f):
-        ring = self.ring
-        ri, rj = self.rows[i], self.rows[j]
-        for k in range(len(ri)):
-            ri[k] = ring._add(ri[k], ring._mul(f, rj[k]))
-
     def row_block(self, i, j, t):
         ring = self.ring
         (t00, t01), (t10, t11) = t

@@ -19,6 +19,7 @@ from edrkit import (
     PolynomialQuotientRing,
     ProductRing,
     PropertyReport,
+    RingElement,
     RingMismatchError,
     RingProperty,
     UnsupportedRingError,
@@ -33,6 +34,7 @@ from edrkit import (
     counterexample_is_genuine,
     find_coprime_splitting,
     find_diadem,
+    gelfand_range_1_witness,
     ideal_generated,
     is_comaximal,
     is_diadem_direct,
@@ -403,6 +405,30 @@ def test_diadems_through_the_quotient_match_the_definition(ring):
         assert _is_diadem_payload(ring, w) == definition_is_diadem(ring, w), (ring.spec(), w)
 
 
+def test_diadem_verdicts_sweep_r_mod_wr(monkeypatch):
+    # a verdict can agree with the definition on these rings while sweeping
+    # the wrong quotient (R/w^2R, say), so record the rings swept: exactly
+    # one, quotient_ring(R, w), with |R|/|wR| elements
+    import edrkit.finite_lab as finite_lab
+
+    swept = []
+    sweep = finite_lab.check_stable_range_1
+
+    def recorded(ring, bound):
+        swept.append(ring)
+        return sweep(ring, bound=bound)
+
+    monkeypatch.setattr(finite_lab, "check_stable_range_1", recorded)
+    for ring in (IntegerModRing(12), ring_parse("Z/2 x Z/4"), ring_parse("GF(2)[x]/(0,0,0,1)")):
+        for w in ring._payloads:
+            swept.clear()
+            _is_diadem_payload(ring, w)
+            quotient = quotient_ring(ring, RingElement(ring, w))
+            assert swept == [quotient], (ring.spec(), w)
+            multiples = {ring._mul(w, r) for r in ring._payloads}
+            assert quotient.cardinality * len(multiples) == ring.cardinality, (ring.spec(), w)
+
+
 def test_diadems_of_a_large_ring_never_enumerate_it(no_enumeration):
     # R/2R is Z/2 for the even modulus, so w = 2 is decided on two elements
     ring = ring_parse("Z/2000000000078")
@@ -576,6 +602,21 @@ def test_coprime_splitting_rejects_bad_inputs():
         find_coprime_splitting(0, 1, 1)
     with pytest.raises(ValueError):
         find_coprime_splitting(12, 2, 4)
+
+
+# -- gelfand witnesses ----------------------------------------------------------------------
+
+
+def test_gelfand_witness_examples():
+    assert gelfand_range_1_witness(3, 5) == 0
+    assert gelfand_range_1_witness(1, 0) == 0
+    assert gelfand_range_1_witness(4, 9) == 0
+    assert gelfand_range_1_witness(0, 1) == 1
+
+
+def test_gelfand_witness_requires_coprime_inputs():
+    with pytest.raises(ValueError):
+        gelfand_range_1_witness(4, 6)
 
 
 # -- associates via diadems (finite rings) ---------------------------------------------

@@ -19,7 +19,6 @@ from edrkit import (
     diadem_step,
     format_certificate,
     format_matrix,
-    gelfand_range_1_witness,
     hermite_reduce_1x2,
     hermite_reduce_2x1,
     is_comaximal,
@@ -539,9 +538,9 @@ def test_snf_later_hermite_passes(monkeypatch):
     passes = []
     inner = reduction._column_hermite
 
-    def counted(work):
-        passes.append((work.m, work.n))
-        return inner(work)
+    def counted(ring, tab, m, n):
+        passes.append((m, n))
+        return inner(ring, tab, m, n)
 
     monkeypatch.setattr(reduction, "_column_hermite", counted)
     m = int_matrix([[4, 0], [2, 3]])
@@ -805,18 +804,3 @@ def test_reduce_mod_is_nonnegative_for_a_negative_integer_modulus():
 def test_sr2_witness_rejects_non_comaximal():
     with pytest.raises(ValueError, match="not comaximal"):
         stable_range_2_witness(Z, Z.element(2), Z.element(4), Z.element(6))
-
-
-# -- gelfand witnesses ----------------------------------------------------------------------
-
-
-def test_gelfand_witness_examples():
-    assert gelfand_range_1_witness(3, 5) == 0
-    assert gelfand_range_1_witness(1, 0) == 0
-    assert gelfand_range_1_witness(4, 9) == 0
-    assert gelfand_range_1_witness(0, 1) == 1
-
-
-def test_gelfand_witness_requires_coprime_inputs():
-    with pytest.raises(ValueError):
-        gelfand_range_1_witness(4, 6)

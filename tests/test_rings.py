@@ -608,7 +608,7 @@ def test_integer_shear_kernels_match_the_ring_defaults(rows, order, values):
 TABLEAU_PRIMES = (2, 5, 251, 65537, 2**61 - 1, 3317044064679887385961813)
 TABLEAU_OPS = (
     "add_col", "col_block", "reduce_row", "swap_rows", "swap_cols",
-    "add_row", "row_block", "scale_row", "transpose",
+    "row_block", "scale_row", "transpose",
 )  # fmt: skip
 
 
@@ -639,7 +639,7 @@ def _tableau_programs(draw):
         if name == "reduce_row":
             ops.append((name, draw(st.integers(0, min(rows, cols) - 1))))
             continue
-        n = rows if name in ("swap_rows", "add_row", "row_block", "scale_row") else cols
+        n = rows if name in ("swap_rows", "row_block", "scale_row") else cols
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         if name == "scale_row":
             ops.append((name, i, draw(units)))
@@ -681,7 +681,12 @@ def _tableau_programs(draw):
     (
         PolynomialRing(65537),
         [[(65536, 1), (2,)], [(), (65536,) * 3]],
-        [("add_row", 1, 0, (65536, 65536)), ("transpose",), ("scale_row", 0, (3,)), ("reduce_row", 1)],
+        [
+            ("row_block", 0, 1, (((1,), ()), ((65536, 65536), (1,)))),
+            ("transpose",),
+            ("scale_row", 0, (3,)),
+            ("reduce_row", 1),
+        ],
     )
 )
 def test_ring_tableaux_match_the_loop_tableau(case):

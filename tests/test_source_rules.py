@@ -118,6 +118,22 @@ def test_producer_reads_the_tableau_only_through_its_operations():
     assert found == []
 
 
+def test_producer_uses_every_tableau_operation():
+    # the tableau's contract is what the reducer needs and no more: an
+    # operation that reduction.py never reaches on its tableau would be
+    # code that every carrier and the loop oracle keep for nothing
+    from edrkit.rings import Tableau
+
+    path = SRC / "reduction.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    used = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "tab"
+    }
+    assert sorted(Tableau.__abstractmethods__ - used) == []
+
+
 def test_producer_and_verifier_stay_on_the_payload_grid():
     # the verifier reads payload grids, never boxed entries, and the reducer
     # builds matrices from payload grids only, so neither pays for a
