@@ -18,15 +18,16 @@ loop on packed rows (r, s, t) of its remainder table: one product and one
 reduction per step.  A matrix product (_matmul) sums each
 dot product over entries packed once into such slots.  The reducer's
 tableau (_PackedTableau) keeps every column as one packed byte string for
-a whole Hermite pass, each coefficient reduced mod p: a column shear is one
-bignum expression on the column, reduced mod p once, and an entry is
-decoded only when the reducer reads it.  Its size reduction of a row finds
-every quotient of the row in one product, of the reversed dividends, cut
-from the row's blocks, with the power-series inverse of the reversed
-pivot, then shears each column once.  The Bareiss row kernel
-(_bareiss_rows) packs each row's numerator likewise and does the exact
-division by the previous pivot as a product with its power-series
-inverse.  Division by a unit is one scaling pass.
+a whole Hermite pass, each coefficient reduced mod p, row i in block i of
+each: a column shear is one bignum expression on the column, reduced mod p
+once, an entry is decoded only when the reducer reads it, and a transpose
+re-packs every column.  Its size reduction of a row finds every quotient
+of the row in one product, of the reversed dividends, cut from the row's
+blocks, with the power-series inverse of the reversed pivot, then shears
+each column once.  The Bareiss row kernel (_bareiss_rows) packs each
+row's numerator likewise and does the exact division by the previous
+pivot as a product with its power-series inverse.  Division by a unit is
+one scaling pass.
 """
 
 from __future__ import annotations
@@ -148,11 +149,6 @@ def _decode_all(blocks, slot: tuple[int, str | None]) -> list:
     if slot[0] == 1:
         return list(map(tuple, map(bytes.rstrip, blocks, itertools.repeat(b"\0"))))
     return [_decode(block, slot) for block in blocks]
-
-
-def _length(block: bytes, width: int) -> int:
-    """The length of the payload held by a block of width-byte slots."""
-    return -(-len(block.rstrip(b"\0")) // width)
 
 
 def _blocks(data: bytes, span: int) -> tuple:
@@ -290,22 +286,20 @@ class _PackedTableau(Tableau):
     A column holds one block of self.size slots per row, and a slot holds
     one coefficient, reduced mod p, in self.slot (the narrowest slot that
     holds p - 1); an entry is its block, low coefficient first, zero-padded
-    at the top.  Row i's block sits at position self.order[i] of every
-    column, so a row swap only permutes self.order.  Every change is a
-    sequence of shears x + f * y (_pass): one product of packed integers
-    whose slots are as wide as its sum needs, then one reduction mod p back
-    into stored slots.  self.lens[j] bounds the length of every entry of
-    column j, so an operation checks against it that the blocks have room
-    for every product it forms, before forming it; when they have not, the
-    bounds are measured again, and then the blocks grow (_room).  Entries
-    are decoded only when read.
+    at the top, and row i's block is block i of every column.  Every change
+    but a swap or a transpose is a sequence of shears x + f * y (_pass):
+    one product of packed integers whose slots are as wide as its sum
+    needs, then one reduction mod p back into stored slots.  self.lens[j]
+    bounds the length of every entry of column j, so an operation checks
+    against it that the blocks have room for every product it forms, before
+    forming it; when they have not, the bounds are measured again, and then
+    the blocks grow (_room).  Entries are decoded only when read.
     """
 
     def __init__(self, p: int, grid: list[list]):
         self.p = p
         self.slot = _slot(p - 1)
         self.capacity = 1 << 8 * self.slot[0]
-        self.order = list(range(len(grid)))
         columns = list(zip(*grid))
         lengths = [list(map(len, row)) for row in grid]
         self.lens = [max(col) for col in zip(*lengths)]
@@ -322,13 +316,11 @@ class _PackedTableau(Tableau):
 
     def entry(self, i, j):
         span = self.span
-        lo = self.order[i] * span
-        return _decode(self.cols[j][lo : lo + span], self.slot)
+        return _decode(self.cols[j][i * span : (i + 1) * span], self.slot)
 
     def is_zero(self, i, j):
         span = self.span
-        lo = self.order[i] * span
-        return not self.cols[j][lo : lo + span].rstrip(b"\0")
+        return not self.cols[j][i * span : (i + 1) * span].rstrip(b"\0")
 
     def _room(self, extra: int, *columns: int) -> None:
         """Make the blocks hold extra + longest - 1 slots, longest the longest
@@ -423,8 +415,7 @@ class _PackedTableau(Tableau):
         # multiplies a long one by a short one.
         p, slot, cols = self.p, self.slot, self.cols
         width, span = slot[0], self.span
-        lo = self.order[r] * span
-        blocks = [col[lo : lo + span] for col in cols[: r + 1]]
+        blocks = [col[r * span : (r + 1) * span] for col in cols[: r + 1]]
         lengths = [-(-n // width) for n in map(len, map(bytes.rstrip, blocks, itertools.repeat(b"\0")))]
         top = lengths[r]
         targets = [c for c in range(r) if lengths[c] >= top]
@@ -449,65 +440,22 @@ class _PackedTableau(Tableau):
             cols[c] = x
             lens[c] = max(lens[c], lengths[c] - top + lens[r])
 
-    def _row(self, i: int) -> bytes:
-        """Row i's blocks, one per column: laid out as a column."""
-        span = self.span
-        lo = self.order[i] * span
-        return b"".join([col[lo : lo + span] for col in self.cols])
-
-    def _rows(self, extra: int, rows):
-        """The given rows as _row lays them out and the length of their
-        longest entry, with blocks that hold extra + longest - 1 slots."""
-        span, width = self.span, self.slot[0]
-        data = [self._row(i) for i in rows]
-        longest = max(_longest(d, span, width) for d in data)
-        if extra + longest - 1 > self.size:
-            self._resize(max(extra + longest - 1, self.size + self.size // 2))
-            data = [self._row(i) for i in rows]
-        return data, longest
-
-    def _set_row(self, i: int, data: bytes) -> None:
-        span, width = self.span, self.slot[0]
-        lo = self.order[i] * span
-        cols, lens = self.cols, self.lens
-        for c, block in enumerate(_blocks(data, span)):
-            cols[c] = cols[c][:lo] + block + cols[c][lo + span :]
-            lens[c] = max(lens[c], _length(block, width))
-
-    def swap_rows(self, i, j):
-        order = self.order
-        order[i], order[j] = order[j], order[i]
-
     def swap_cols(self, i, j):
         cols, lens = self.cols, self.lens
         cols[i], cols[j] = cols[j], cols[i]
         lens[i], lens[j] = lens[j], lens[i]
 
-    def row_block(self, i, j, t):
-        (t00, t01), (t10, t11) = t
-        (x, y), longest = self._rows(max(map(len, (t00, t01, t10, t11))), (i, j))
-        new_i, new_j = self._pass([b"", b""], [[t00, t01], [t10, t11]], [x, y], [longest, longest])
-        self._set_row(i, new_i)
-        self._set_row(j, new_j)
-
-    def scale_row(self, i, u):
-        self._set_row(i, self._pass([b""], [[u]], [self._row(i)], [self.size])[0])
-
     def transpose(self):
         # the entries keep their lengths, so every column is bounded by the
         # longest bound of any
-        cols, span = self.cols, self.span
-        rows = list(zip(*[_blocks(col, span) for col in cols]))
-        self.cols = [b"".join(rows[k]) for k in self.order]
+        span = self.span
+        self.cols = [b"".join(row) for row in zip(*[_blocks(col, span) for col in self.cols])]
         self.lens = [max(self.lens, default=0)] * len(self.cols)
-        self.order = list(range(len(cols)))
 
     def block(self, top, bottom, left, right):
-        picked = self.order[top:bottom]
-        columns = [
-            _decode_all(map(_blocks(col, self.span).__getitem__, picked), self.slot) for col in self.cols[left:right]
-        ]
-        return list(map(list, zip(*columns))) if columns else [[] for _ in picked]
+        span = self.span
+        columns = [_decode_all(_blocks(col, span)[top:bottom], self.slot) for col in self.cols[left:right]]
+        return list(map(list, zip(*columns))) if columns else [[] for _ in range(top, bottom)]
 
 
 @value_class

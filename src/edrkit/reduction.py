@@ -12,7 +12,9 @@ passes); divisibility chains are repaired by delegating diagonal pairs
 back to the comaximal core.  Both work on one tableau [[A, P], [Q, 0]],
 whose transpose is the tableau of the transposed problem; the ring holds it
 in its own layout, and the reducer reads and changes it only through the
-tableau's operations.
+tableau's operations.  These are column operations and the transpose: a
+row operation runs as the matching column operation on the transposed
+tableau (_row_steps).
 """
 
 from __future__ import annotations
@@ -66,11 +68,6 @@ def _hermite_blocks(ring: Ring, x, y):
     u, v = cert.u.payload, cert.v.payload
     a1, b1 = cert.a1.payload, cert.b1.payload
     return ((u, ring._neg(b1)), (v, a1)), cert.g.payload
-
-
-def _transposed(t):
-    (t00, t01), (t10, t11) = t
-    return ((t00, t10), (t01, t11))
 
 
 def hermite_reduce_1x2(
@@ -128,6 +125,18 @@ def _certificate(ring: Ring, tab: Tableau, m: int, n: int) -> ReductionCertifica
         from_payload_grid(ring, tab.block(0, m, 0, n), n),
         from_payload_grid(ring, tab.block(m, m + n, 0, n), n),
     )
+
+
+def _row_steps(tab: Tableau, *steps) -> None:
+    """Row operations, run as the matching column operations on the
+    transposed tableau: each step is a column operation and its arguments.
+    Rows i, j becoming t times the old pair is (tab.col_block, i, j, t^t),
+    a row swap is (tab.swap_cols, i, j), and row i times the unit u is
+    (tab.add_col, i, i, u - 1)."""
+    tab.transpose()
+    for step, *args in steps:
+        step(*args)
+    tab.transpose()
 
 
 def _unit_row(ring: Ring, i: int, size: int) -> list:
@@ -189,22 +198,21 @@ def reduce_2x2_comaximal(ring: Ring, source: Matrix) -> ReductionCertificate:
         raise ValueError("entries are not comaximal")
     tab = _start(ring, source)
     if ring._is_unit(a):
-        # Degenerate input: scale the corner to 1 and shear b away.
-        if a != one:
-            tab.scale_row(0, ring._unit_inverse(a))
-        if b != zero:
-            tab.row_block(0, 1, ((one, zero), (ring._neg(tab.entry(1, 0)), one)))
+        # Degenerate input: one row step scales the corner to 1 and shears
+        # b away.
+        inv = ring._unit_inverse(a)
+        _row_steps(tab, (tab.col_block, 0, 1, ((inv, ring._neg(ring._mul(b, inv))), (zero, one))))
     elif a == zero:
         # Row (b, c) is itself comaximal: one Hermite step leaves the unit
         # corner directly.
         t, g = _hermite_blocks(ring, b, c)
         tab.col_block(0, 1, t)
-        tab.swap_rows(0, 1)
+        _row_steps(tab, (tab.swap_cols, 0, 1))
     else:
         x, y, w = diadem_step(
             ring, RingElement(ring, a), RingElement(ring, b), RingElement(ring, c)
         )
-        tab.row_block(0, 1, ((one, zero), (x.payload, one)))
+        _row_steps(tab, (tab.col_block, 0, 1, ((one, x.payload), (zero, one))))
         tab.col_block(0, 1, ((one, zero), (y.payload, one)))
         # bottom row (w, c) -> (0, alpha): column-swapped Hermite block with
         # the first column negated to keep the determinant at 1
@@ -222,17 +230,14 @@ def reduce_2x2_comaximal(ring: Ring, source: Matrix) -> ReductionCertificate:
         )
         tab.col_block(0, 1, ((m, one), (one, zero)))
         t, g = _hermite_blocks(ring, tab.entry(0, 0), tab.entry(1, 0))
-        tab.row_block(0, 1, _transposed(t))
-    # corner is now the unit g (exactly 1 after normalization); clear the rest
-    corner = tab.entry(0, 0)
-    if corner != one:
-        tab.scale_row(0, ring._unit_inverse(corner))
+        _row_steps(tab, (tab.col_block, 0, 1, t))
+    # the corner is now 1, the canonical gcd of a comaximal pair; clear the rest
     beta = tab.entry(0, 1)
     if beta != zero:
         tab.col_block(0, 1, ((one, ring._neg(beta)), (zero, one)))
     norm = ring._normalizer(tab.entry(1, 1))
     if norm is not None:
-        tab.scale_row(1, norm)
+        _row_steps(tab, (tab.add_col, 1, 1, ring._sub(norm, one)))
     return _certificate(ring, tab, 2, 2)
 
 
@@ -285,7 +290,8 @@ def _column_hermite(ring: Ring, tab: Tableau, m: int, n: int) -> int:
             end -= 1
             tab.swap_cols(i, end)
             continue
-        tab.swap_rows(i, row)
+        if row != i:
+            _row_steps(tab, (tab.swap_cols, i, row))
         pivots.append(entry(i, i))
         rank += 1
         for r in range(start, rank):
@@ -299,15 +305,17 @@ def _merge_diagonal_pair(ring: Ring, tab: Tableau, i: int, j: int) -> None:
     if ring._divides(di, dj) is not None:
         return
     cert = bezout_gcd(ring, RingElement(ring, di), RingElement(ring, dj))
-    one, zero = ring._one(), ring._zero()
-    tab.row_block(i, j, ((one, zero), (one, one)))
-    # the (i, j) block is now g * [[di1, 0], [di1, dj1]] with (di1, dj1) coprime
+    zero, add = ring._zero(), ring._add
+    # adding row i to row j makes the (i, j) block g * [[di1, 0], [di1, dj1]]
+    # with (di1, dj1) coprime and the core's P follows: one row step by
+    # P * [[1, 0], [1, 1]], given transposed
     sub = from_payload_grid(
         ring,
         [[cert.a1.payload, zero], [cert.a1.payload, cert.b1.payload]],
     )
     sub_cert = reduce_2x2_comaximal(ring, sub)
-    tab.row_block(i, j, sub_cert.P.payload_grid())
+    (p00, p01), (p10, p11) = sub_cert.P.payload_grid()
+    _row_steps(tab, (tab.col_block, i, j, ((add(p00, p01), add(p10, p11)), (p01, p11))))
     tab.col_block(i, j, sub_cert.Q.payload_grid())
 
 
@@ -363,10 +371,11 @@ def smith_normal_form(ring: Ring, source: Matrix) -> ReductionCertificate:
         for i in range(rank):
             for j in range(i + 1, rank):
                 _merge_diagonal_pair(ring, tab, i, j)
-    for i in range(rank):
-        norm = ring._normalizer(tab.entry(i, i))
-        if norm is not None:
-            tab.scale_row(i, norm)
+    one = ring._one()
+    norms = [(i, ring._normalizer(tab.entry(i, i))) for i in range(rank)]
+    scales = [(tab.add_col, i, i, ring._sub(u, one)) for i, u in norms if u is not None]
+    if scales:
+        _row_steps(tab, *scales)
     return _certificate(ring, tab, m, n)
 
 

@@ -32,7 +32,9 @@ contract Tableau) and reads only through its operations: over Z a list of
 rows of native ints changed entry by entry (RowTableau), over GF(p)[x] one
 packed byte string per column for a whole Hermite pass, so a column shear
 is one packed product and a row's size reduction takes every quotient in
-one more.
+one more.  The tableau changes only by column operations and its
+transpose; the reducer runs a row operation as a column operation on the
+transposed tableau.
 
 Element literals are read and written one at a time by _parse and _format,
 and a matrix row at a time by _parse_row and _format_row.  The row codecs
@@ -445,9 +447,11 @@ class Tableau(ABC):
 
     A Euclidean ring's _tableau(grid) copies a payload grid into one; the
     reducer then reads entries only through entry and is_zero and changes
-    them only through the operations below.  Z keeps a list of rows of
-    native ints (RowTableau); GF(p)[x] keeps each column as one packed byte
-    string (edrkit.polynomials).  Indices are 0-based (row, column).
+    them only through the operations below: column operations and the
+    transpose, since a row operation is a column operation on the
+    transpose.  Z keeps a list of rows of native ints (RowTableau); GF(p)[x]
+    keeps each column as one packed byte string (edrkit.polynomials).
+    Indices are 0-based (row, column).
     """
 
     @abstractmethod
@@ -460,7 +464,8 @@ class Tableau(ABC):
 
     @abstractmethod
     def add_col(self, i: int, j: int, f: Any) -> None:
-        """Column i += f * column j."""
+        """Column i += f * column j; column j is read before column i is
+        written, so i = j multiplies column i by 1 + f."""
 
     @abstractmethod
     def col_block(self, i: int, j: int, t) -> None:
@@ -474,18 +479,7 @@ class Tableau(ABC):
         as given."""
 
     @abstractmethod
-    def swap_rows(self, i: int, j: int) -> None: ...
-
-    @abstractmethod
     def swap_cols(self, i: int, j: int) -> None: ...
-
-    @abstractmethod
-    def row_block(self, i: int, j: int, t) -> None:
-        """Rows i, j become t times the old pair."""
-
-    @abstractmethod
-    def scale_row(self, i: int, u: Any) -> None:
-        """Row i *= u for a unit u."""
 
     @abstractmethod
     def transpose(self) -> None:
@@ -642,25 +636,10 @@ class RowTableau(Tableau):
             if f:
                 self.add_col(c, r, -f)
 
-    def swap_rows(self, i, j):
-        rows = self.rows
-        rows[i], rows[j] = rows[j], rows[i]
-
     def swap_cols(self, i, j):
         if i != j:
             for row in self.rows:
                 row[i], row[j] = row[j], row[i]
-
-    def row_block(self, i, j, t):
-        (t00, t01), (t10, t11) = t
-        ri, rj = self.rows[i], self.rows[j]
-        new_i = [t00 * x + t01 * y for x, y in zip(ri, rj)]
-        rj[:] = [t10 * x + t11 * y for x, y in zip(ri, rj)]
-        ri[:] = new_i
-
-    def scale_row(self, i, u):
-        ri = self.rows[i]
-        ri[:] = [u * x for x in ri]
 
     def transpose(self):
         self.rows = [list(col) for col in zip(*self.rows)]

@@ -333,21 +333,6 @@ class LoopTableau(RowTableau):
     def reduce_row(self, r):
         loop_reduce_row(self.ring, self.rows, r)
 
-    def row_block(self, i, j, t):
-        ring = self.ring
-        (t00, t01), (t10, t11) = t
-        ri, rj = self.rows[i], self.rows[j]
-        for k in range(len(ri)):
-            x, y = ri[k], rj[k]
-            ri[k] = ring._add(ring._mul(t00, x), ring._mul(t01, y))
-            rj[k] = ring._add(ring._mul(t10, x), ring._mul(t11, y))
-
-    def scale_row(self, i, u):
-        ring = self.ring
-        ri = self.rows[i]
-        for k in range(len(ri)):
-            ri[k] = ring._mul(u, ri[k])
-
 
 def loop_ext_gcd(ring, x, y):
     """(g, u, v) with x*u + y*v = g and g canonical (zero when x = y = 0),

@@ -606,10 +606,7 @@ def test_integer_shear_kernels_match_the_ring_defaults(rows, order, values):
 # what the per-entry loops hold, read as a whole grid, entry by entry and as
 # zero tests.
 TABLEAU_PRIMES = (2, 5, 251, 65537, 2**61 - 1, 3317044064679887385961813)
-TABLEAU_OPS = (
-    "add_col", "col_block", "reduce_row", "swap_rows", "swap_cols",
-    "row_block", "scale_row", "transpose",
-)  # fmt: skip
+TABLEAU_OPS = ("add_col", "col_block", "reduce_row", "swap_cols", "transpose")
 
 
 @st.composite
@@ -618,10 +615,10 @@ def _tableau_programs(draw):
     operations valid for the shape the grid has when each one runs."""
     p = draw(st.sampled_from((None, *TABLEAU_PRIMES)))
     if p is None:
-        ring, units = IntegerRing(), st.sampled_from((1, -1))
+        ring = IntegerRing()
         entries = st.one_of(st.just(0), st.integers(-5, 5), st.integers(-(2**70), 2**70))
     else:
-        ring, units = PolynomialRing(p), st.integers(1, p - 1).map(lambda c: (c,))
+        ring = PolynomialRing(p)
         coeffs = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
         entries = st.one_of(
             st.just(()),
@@ -639,30 +636,36 @@ def _tableau_programs(draw):
         if name == "reduce_row":
             ops.append((name, draw(st.integers(0, min(rows, cols) - 1))))
             continue
-        n = rows if name in ("swap_rows", "row_block", "scale_row") else cols
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        if name == "scale_row":
-            ops.append((name, i, draw(units)))
-        elif name.startswith("swap"):
+        i, j = draw(st.integers(0, cols - 1)), draw(st.integers(0, cols - 1))
+        if name == "swap_cols":
             ops.append((name, i, j))
+        elif name == "add_col":
+            # i = j scales a column, as the reducer scales a row by a unit
+            # u with add_col(i, i, u - 1) on the transpose
+            ops.append((name, i, j, draw(entries)))
         elif i != j:
             pair = st.tuples(entries, entries)
-            ops.append((name, i, j, draw(entries if name.startswith("add") else st.tuples(pair, pair))))
+            ops.append((name, i, j, draw(st.tuples(pair, pair))))
     return ring, grid, ops
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_tableau_programs())
 # Blocks start one slot long (every entry is a constant), so the first shear
-# must grow them to four slots and the row block to eight.
+# must grow them to four slots and the row block (a column block on the
+# transpose) to eight.
 @example(
     (
         PolynomialRing(5),
         [[(1,), (2,)], [(3,), (4,)]],
         [
-            ("swap_rows", 1, 1),
+            ("transpose",),
+            ("swap_cols", 1, 1),
+            ("transpose",),
             ("add_col", 0, 1, (1, 2, 3, 4)),
-            ("row_block", 0, 1, (((1,) * 5, ()), ((), (1,)))),
+            ("transpose",),
+            ("col_block", 0, 1, (((1,) * 5, ()), ((), (1,)))),
+            ("transpose",),
             ("transpose",),
             ("reduce_row", 1),
         ],
@@ -682,9 +685,13 @@ def _tableau_programs(draw):
         PolynomialRing(65537),
         [[(65536, 1), (2,)], [(), (65536,) * 3]],
         [
-            ("row_block", 0, 1, (((1,), ()), ((65536, 65536), (1,)))),
             ("transpose",),
-            ("scale_row", 0, (3,)),
+            ("col_block", 0, 1, (((1,), (65536, 65536)), ((), (1,)))),
+            ("transpose",),
+            ("transpose",),
+            ("transpose",),
+            ("add_col", 0, 0, (2,)),
+            ("transpose",),
             ("reduce_row", 1),
         ],
     )

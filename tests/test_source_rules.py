@@ -134,6 +134,24 @@ def test_producer_uses_every_tableau_operation():
     assert sorted(Tableau.__abstractmethods__ - used) == []
 
 
+def test_tableaux_define_only_the_contracts_operations():
+    # an operation dropped from rings.Tableau must leave both carriers and
+    # the loop oracle as well, so none of them keeps a public method the
+    # contract does not name
+    from edrkit.polynomials import _PackedTableau
+    from edrkit.rings import RowTableau, Tableau
+
+    from oracles import LoopTableau
+
+    found = [
+        f"{cls.__name__}.{name}"
+        for cls in (RowTableau, _PackedTableau, LoopTableau)
+        for name, value in vars(cls).items()
+        if callable(value) and not name.startswith("_") and name not in Tableau.__abstractmethods__
+    ]
+    assert found == []
+
+
 def test_producer_and_verifier_stay_on_the_payload_grid():
     # the verifier reads payload grids, never boxed entries, and the reducer
     # builds matrices from payload grids only, so neither pays for a
