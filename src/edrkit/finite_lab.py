@@ -121,22 +121,6 @@ def is_comaximal(ring: Ring, elems: Sequence[RingElement]) -> bool:
     return ring._ideal_has_one(tuple(e.payload for e in elems))
 
 
-def _per_ring(compute):
-    """Memoize compute(ring, payload) in the ring's own memo table.
-
-    The table lives on the ring instance, so it is freed with the ring
-    instead of keeping every ring alive for the life of the process.
-    """
-
-    def cached(ring: Ring, x):
-        table = ring._memo.setdefault(compute, {})
-        if x not in table:
-            table[x] = compute(ring, x)
-        return table[x]
-
-    return cached
-
-
 def _require_finite(ring: Ring, bound: int | None) -> None:
     if not ring.finite:
         raise InfiniteRingError(f"exhaustive check needs a finite ring, not {ring.spec()}")
@@ -319,7 +303,6 @@ def check_hermite(ring: Ring, bound: int | None = DEFAULT_PAIR_BOUND) -> Propert
 # ---------------------------------------------------------------------------
 
 
-@_per_ring
 def _is_diadem_payload(ring: Ring, w) -> bool:
     """Whether w is a diadem of the finite ring: whether R/wR has stable range 1.
 
@@ -330,8 +313,15 @@ def _is_diadem_payload(ring: Ring, w) -> bool:
     Every element of R/wR lifts, so the definition is word for word the
     stable-range-1 sweep of R/wR: |R/wR|^2 pairs, each trying at most
     |R/wR| multipliers, where the quantifiers over R cost |R|^3.
+
+    The verdicts are memoized in the ring's own memo table, keyed by this
+    function, so they are freed with the ring instead of keeping every ring
+    alive for the life of the process.
     """
-    return check_stable_range_1(quotient_ring(ring, RingElement(ring, w)), bound=None).holds
+    table = ring._memo.setdefault(_is_diadem_payload, {})
+    if w not in table:
+        table[w] = check_stable_range_1(quotient_ring(ring, RingElement(ring, w)), bound=None).holds
+    return table[w]
 
 
 def is_diadem_direct(

@@ -287,13 +287,14 @@ class _PackedTableau(Tableau):
     one coefficient, reduced mod p, in self.slot (the narrowest slot that
     holds p - 1); an entry is its block, low coefficient first, zero-padded
     at the top, and row i's block is block i of every column.  Every change
-    but a swap or a transpose is a sequence of shears x + f * y (_pass):
-    one product of packed integers whose slots are as wide as its sum
-    needs, then one reduction mod p back into stored slots.  self.lens[j]
-    bounds the length of every entry of column j, so an operation checks
-    against it that the blocks have room for every product it forms, before
-    forming it; when they have not, the bounds are measured again, and then
-    the blocks grow (_room).  Entries are decoded only when read.
+    but a transpose, a swap (the column block [[0, 1], [1, 0]]) included,
+    is a sequence of shears x + f * y (_pass): one product of packed
+    integers whose slots are as wide as its sum needs, then one reduction
+    mod p back into stored slots.  self.lens[j] bounds the length of every
+    entry of column j, so an operation checks against it that the blocks
+    have room for every product it forms, before forming it; when they have
+    not, the bounds are measured again, and then the blocks grow (_room).
+    Entries are decoded only when read.
     """
 
     def __init__(self, p: int, grid: list[list]):
@@ -317,10 +318,6 @@ class _PackedTableau(Tableau):
     def entry(self, i, j):
         span = self.span
         return _decode(self.cols[j][i * span : (i + 1) * span], self.slot)
-
-    def is_zero(self, i, j):
-        span = self.span
-        return not self.cols[j][i * span : (i + 1) * span].rstrip(b"\0")
 
     def _room(self, extra: int, *columns: int) -> None:
         """Make the blocks hold extra + longest - 1 slots, longest the longest
@@ -439,11 +436,6 @@ class _PackedTableau(Tableau):
         for c, x in zip(targets, new):
             cols[c] = x
             lens[c] = max(lens[c], lengths[c] - top + lens[r])
-
-    def swap_cols(self, i, j):
-        cols, lens = self.cols, self.lens
-        cols[i], cols[j] = cols[j], cols[i]
-        lens[i], lens[j] = lens[j], lens[i]
 
     def transpose(self):
         # the entries keep their lengths, so every column is bounded by the

@@ -14,7 +14,7 @@ whose transpose is the tableau of the transposed problem; the ring holds it
 in its own layout, and the reducer reads and changes it only through the
 tableau's operations.  These are column operations and the transpose: a
 row operation runs as the matching column operation on the transposed
-tableau (_row_steps).
+tableau (_row_steps), and a swap is the column block [[0, 1], [1, 0]].
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ def _row_steps(tab: Tableau, *steps) -> None:
     """Row operations, run as the matching column operations on the
     transposed tableau: each step is a column operation and its arguments.
     Rows i, j becoming t times the old pair is (tab.col_block, i, j, t^t),
-    a row swap is (tab.swap_cols, i, j), and row i times the unit u is
-    (tab.add_col, i, i, u - 1)."""
+    so a row swap is (tab.col_block, i, j, [[0, 1], [1, 0]]), and row i
+    times the unit u is (tab.add_col, i, i, u - 1)."""
     tab.transpose()
     for step, *args in steps:
         step(*args)
@@ -207,7 +207,7 @@ def reduce_2x2_comaximal(ring: Ring, source: Matrix) -> ReductionCertificate:
         # corner directly.
         t, g = _hermite_blocks(ring, b, c)
         tab.col_block(0, 1, t)
-        _row_steps(tab, (tab.swap_cols, 0, 1))
+        _row_steps(tab, (tab.col_block, 0, 1, ((zero, one), (one, zero))))
     else:
         x, y, w = diadem_step(
             ring, RingElement(ring, a), RingElement(ring, b), RingElement(ring, c)
@@ -255,17 +255,20 @@ def _column_hermite(ring: Ring, tab: Tableau, m: int, n: int) -> int:
     input (Kannan & Bachem, SIAM J. Comput. 8(4), 1979).  A column left
     with no nonzero entry at or below the diagonal is zero; it is swapped
     to the end and the next column tried, and a later nonzero row is
-    swapped up when the diagonal entry alone vanished.  Returns the rank r:
-    afterwards rows 0..r-1 of columns 0..r-1 are lower triangular with a
-    nonzero diagonal, and columns r.. are zero.
+    swapped up when the diagonal entry alone vanished.  Either swap is the
+    block [[0, 1], [1, 0]] (built once per pass), the row swap on the
+    transpose, and a zero column already at the end stays put.  Returns
+    the rank r: afterwards rows 0..r-1 of columns 0..r-1 are lower
+    triangular with a nonzero diagonal, and columns r.. are zero.
 
     Size reduction takes each entry left of the diagonal modulo its row's
     diagonal entry by a column shear: one reduce_row per row.  Column r is
     zero above row r, so the shear only touches rows r and below of the
     reduced column; going top-down leaves every finished row reduced.
     """
-    entry, is_zero = tab.entry, tab.is_zero
-    zero = ring._zero()
+    entry = tab.entry
+    zero, one = ring._zero(), ring._one()
+    swap = ((zero, one), (one, zero))
     # pivots[j] is entry (j, j): only a Hermite block on column j changes
     # it, as rows above a pivot are zero in every later column
     pivots = []
@@ -285,13 +288,14 @@ def _column_hermite(ring: Ring, tab: Tableau, m: int, n: int) -> int:
                 tab.col_block(j, i, t)
                 pivots[j] = entry(j, j)
                 start = min(start, j)
-        row = next((r for r in range(i, m) if not is_zero(r, i)), None)
+        row = next((r for r in range(i, m) if entry(r, i) != zero), None)
         if row is None:
             end -= 1
-            tab.swap_cols(i, end)
+            if i != end:
+                tab.col_block(i, end, swap)
             continue
         if row != i:
-            _row_steps(tab, (tab.swap_cols, i, row))
+            _row_steps(tab, (tab.col_block, i, row, swap))
         pivots.append(entry(i, i))
         rank += 1
         for r in range(start, rank):
@@ -356,7 +360,8 @@ def smith_normal_form(ring: Ring, source: Matrix) -> ReductionCertificate:
     flipped = False
     # columns rank.. are zero after a pass, so only the first rank can hold
     # entries below the diagonal
-    while not all(tab.is_zero(i, j) for j in range(rank) for i in range(j + 1, m)):
+    zero = ring._zero()
+    while any(tab.entry(i, j) != zero for j in range(rank) for i in range(j + 1, m)):
         tab.transpose()
         m, n = n, m
         flipped = not flipped

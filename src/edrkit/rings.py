@@ -34,7 +34,9 @@ packed byte string per column for a whole Hermite pass, so a column shear
 is one packed product and a row's size reduction takes every quotient in
 one more.  The tableau changes only by column operations and its
 transpose; the reducer runs a row operation as a column operation on the
-transposed tableau.
+transposed tableau and a swap as the column block [[0, 1], [1, 0]], so the
+contract is six operations: entry, add_col, col_block, reduce_row,
+transpose and block.
 
 Element literals are read and written one at a time by _parse and _format,
 and a matrix row at a time by _parse_row and _format_row.  The row codecs
@@ -446,21 +448,17 @@ class Tableau(ABC):
     """The reducer's working grid of payloads, held in the ring's own layout.
 
     A Euclidean ring's _tableau(grid) copies a payload grid into one; the
-    reducer then reads entries only through entry and is_zero and changes
-    them only through the operations below: column operations and the
-    transpose, since a row operation is a column operation on the
-    transpose.  Z keeps a list of rows of native ints (RowTableau); GF(p)[x]
-    keeps each column as one packed byte string (edrkit.polynomials).
-    Indices are 0-based (row, column).
+    reducer then reads it only through entry and block and changes it only
+    through the operations below: column operations and the transpose,
+    since a row operation is a column operation on the transpose, and a
+    swap is the column block [[0, 1], [1, 0]].  Z keeps a list of rows of
+    native ints (RowTableau); GF(p)[x] keeps each column as one packed byte
+    string (edrkit.polynomials).  Indices are 0-based (row, column).
     """
 
     @abstractmethod
     def entry(self, i: int, j: int) -> Any:
         """The payload at row i, column j."""
-
-    @abstractmethod
-    def is_zero(self, i: int, j: int) -> bool:
-        """Whether the entry at row i, column j is zero."""
 
     @abstractmethod
     def add_col(self, i: int, j: int, f: Any) -> None:
@@ -477,9 +475,6 @@ class Tableau(ABC):
         (r, r)) * column r, the pivot entry (r, r) nonzero.  Each shear
         changes only its own column, so every quotient is that of the row
         as given."""
-
-    @abstractmethod
-    def swap_cols(self, i: int, j: int) -> None: ...
 
     @abstractmethod
     def transpose(self) -> None:
@@ -612,9 +607,6 @@ class RowTableau(Tableau):
     def entry(self, i, j):
         return self.rows[i][j]
 
-    def is_zero(self, i, j):
-        return not self.rows[i][j]
-
     def add_col(self, i, j, f):
         for row in self.rows:
             v = row[j]
@@ -635,11 +627,6 @@ class RowTableau(Tableau):
             f = row[c] // d
             if f:
                 self.add_col(c, r, -f)
-
-    def swap_cols(self, i, j):
-        if i != j:
-            for row in self.rows:
-                row[i], row[j] = row[j], row[i]
 
     def transpose(self):
         self.rows = [list(col) for col in zip(*self.rows)]

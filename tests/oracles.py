@@ -321,9 +321,6 @@ class LoopTableau(RowTableau):
         super().__init__(grid)
         self.ring = ring
 
-    def is_zero(self, i, j):
-        return self.rows[i][j] == self.ring._zero()
-
     def add_col(self, i, j, f):
         loop_add_col(self.ring, self.rows, i, j, f)
 

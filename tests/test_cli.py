@@ -99,6 +99,14 @@ def test_check_unknown_property():
     assert code == 2
 
 
+def test_check_refuses_a_property_with_no_checker(capsys):
+    # associate-diadems is a RingProperty the finite lab verifies on its own
+    # (verify_associate_diadems), not one of the checkers check runs
+    code, text = run_cli("check", "Z/12", "associate-diadems")
+    assert (code, text) == (2, "")
+    assert "error: unknown property 'associate-diadems'" in capsys.readouterr().err
+
+
 def test_check_bound_guard():
     code, _ = run_cli("check", "Z/40", "stable-range-2")
     assert code == 2

@@ -160,6 +160,20 @@ def test_reduce_2x2_polynomial_example():
     assert verify_certificate(G5, a, cert)
 
 
+@pytest.mark.parametrize(
+    "ring, b, c",
+    [(Z, 6, 35), (Z, -4, 9), (Z, 0, -1), (G5, (0, 1), (1, 1)), (G5, (2, 0, 1), (1, 1))],
+)
+def test_reduce_2x2_zero_corner(ring, b, c):
+    # a = 0: the row (b, c) is itself comaximal, so one Hermite step and a
+    # row swap bring the unit into the corner, and the rank is 1
+    zero, one = ring._zero(), ring._one()
+    a = Matrix.from_rows(ring, [[zero, zero], [b, c]])
+    cert = reduce_2x2_comaximal(ring, a)
+    assert cert.D.payload_grid() == [[one, zero], [zero, zero]]
+    assert verify_certificate(ring, a, cert)
+
+
 def test_reduce_2x2_shape_and_precondition_errors():
     with pytest.raises(ValueError, match="2x2"):
         reduce_2x2_comaximal(Z, int_matrix([[1, 0, 0], [0, 1, 0]]))

@@ -98,8 +98,8 @@ def test_producer_divides_only_through_the_row_kernel():
 def test_producer_reads_the_tableau_only_through_its_operations():
     # the ring lays the tableau out (a list of rows on Z, packed columns on
     # GF(p)[x]), so the reducer reads an entry only through the tableau's
-    # entry and is_zero: it subscripts no grid twice (a[j][i]) and reaches
-    # no attribute of the tableau but its operations
+    # entry: it subscripts no grid twice (a[j][i]) and reaches no attribute
+    # of the tableau but its operations
     from edrkit.rings import Tableau
 
     path = SRC / "reduction.py"
@@ -132,6 +132,14 @@ def test_producer_uses_every_tableau_operation():
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "tab"
     }
     assert sorted(Tableau.__abstractmethods__ - used) == []
+
+
+def test_tableau_contract_is_six_operations():
+    # a swap is the column block [[0, 1], [1, 0]] and a zero test is a read
+    # of entry, so neither is an operation of its own
+    from edrkit.rings import Tableau
+
+    assert Tableau.__abstractmethods__ == {"entry", "add_col", "col_block", "reduce_row", "transpose", "block"}
 
 
 def test_tableaux_define_only_the_contracts_operations():
